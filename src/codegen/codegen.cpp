@@ -310,14 +310,17 @@ class Emitter {
 
   /// Emits a statement list, folding each run of adjacent reduction combines
   /// (Stmt::red_pack, set by the directive engine) into ONE packed
-  /// zomp_reduce rendezvous instead of one per variable.
+  /// zomp_reduce rendezvous; a single-variable reduction is a run of one.
   void emit_stmt_list(const std::vector<lang::StmtPtr>& stmts) {
     for (std::size_t i = 0; i < stmts.size(); ++i) {
       const Stmt& s = *stmts[i];
-      if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack > 1 &&
-          i + static_cast<std::size_t>(s.red_pack) <= stmts.size()) {
-        emit_reduce_pack(stmts, i, s.red_pack);
-        i += static_cast<std::size_t>(s.red_pack) - 1;
+      const auto k = static_cast<std::size_t>(s.red_pack);
+      if (s.kind == Stmt::Kind::kOmpReductionCombine && k >= 1 &&
+          i + k <= stmts.size()) {
+        std::vector<const Stmt*> run;
+        for (std::size_t j = i; j < i + k; ++j) run.push_back(stmts[j].get());
+        emit_reduce_pack(run);
+        i += k - 1;
         continue;
       }
       emit_stmt(s);
@@ -537,43 +540,11 @@ class Emitter {
                << ';';
         out_ << '\n';
         break;
-      case Stmt::Kind::kOmpReductionCombine: {
-        // Tree rendezvous: zomp_reduce combines every member's private copy
-        // and returns 1 on the winner, which alone folds the result into the
-        // shared target (the ensuing barrier publishes it). No global lock.
-        // Multi-variable runs never reach here — emit_stmt_list routes them
-        // through emit_reduce_pack (one rendezvous for the whole construct).
-        line() << "{";
-        out_ << '\n';
-        open();
-        const std::string loc = loc_ident(stmt, "reduction");
-        out_ << '\n';
-        const std::string ty = cpp_type(stmt.symbol->type);
-        const std::string fn = fresh("redfn");
-        line() << "struct " << fn << "_s { static void run(void* __a, "
-               << "const void* __b) { "
-               << combine_text(stmt.reduce_op,
-                               "(*static_cast<" + ty + "*>(__a))",
-                               "(*static_cast<const " + ty + "*>(__b))")
-               << "; } };";
-        out_ << '\n';
-        line() << "if (zomp_reduce(&" << loc << ", __gtid, &"
-               << var_name(stmt.symbol) << ", sizeof(" << var_name(stmt.symbol)
-               << "), &" << fn << "_s::run)) {";
-        out_ << '\n';
-        open();
-        line() << combine_text(stmt.reduce_op, var_name(stmt.target_symbol),
-                               var_name(stmt.symbol))
-               << ';';
-        out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+      case Stmt::Kind::kOmpReductionCombine:
+        // Runs are packed by emit_stmt_list; a combine outside one is a
+        // pack of one, so every reduction takes the same lowering.
+        emit_reduce_pack({&stmt});
         break;
-      }
       case Stmt::Kind::kOmpLastprivateWrite:
         line() << var_name(stmt.target_symbol) << " = "
                << var_name(stmt.symbol) << ';';
@@ -852,9 +823,14 @@ class Emitter {
              << ", &" << chi << ", &" << clast << ")) {";
       out_ << '\n';
       open();
+      // The loop condition reads a const copy: the runtime holds &chi, so
+      // any i64 store in the body would otherwise force a reload of it.
+      const std::string cend = fresh("cend");
+      line() << "const std::int64_t " << cend << " = " << chi << ";";
+      out_ << '\n';
       emit_collapse_seed(stmt, clo);
       line() << "for (std::int64_t " << iv << " = " << clo << "; " << iv
-             << " < " << chi << "; ++" << iv;
+             << " < " << cend << "; ++" << iv;
       if (!stmt.collapse.empty()) out_ << ", " << odometer_text(stmt);
       out_ << ") {";
       out_ << '\n';
@@ -893,16 +869,20 @@ class Emitter {
       line() << "zomp_static_range(&" << loc << ", __gtid, " << lo << ", "
              << hi << ", &" << mylo << ", &" << myhi << ", &" << last << ");";
       out_ << '\n';
+      // A const copy of the escaped out-param, as on the dispatch path.
+      const std::string myend = fresh("myend");
+      line() << "const std::int64_t " << myend << " = " << myhi << ";";
+      out_ << '\n';
       // Guard the collapse seed: its div chain must not run on an empty
       // block (the general path gets this for free from the block loop).
       if (!stmt.collapse.empty()) {
-        line() << "if (" << mylo << " < " << myhi << ") {";
+        line() << "if (" << mylo << " < " << myend << ") {";
         out_ << '\n';
         open();
         emit_collapse_seed(stmt, mylo);
       }
       line() << "for (std::int64_t " << iv << " = " << mylo << "; " << iv
-             << " < " << myhi << "; ++" << iv;
+             << " < " << myend << "; ++" << iv;
       if (!stmt.collapse.empty()) out_ << ", " << odometer_text(stmt);
       out_ << ") {";
       out_ << '\n';
@@ -1182,24 +1162,23 @@ class Emitter {
 
   // -- Reduction helpers ------------------------------------------------------------
 
-  /// One packed rendezvous for a run of `k` adjacent reduction combines
-  /// (multi-variable `reduction(...)` on one construct): every member
-  /// deposits a struct holding all k partials, the combine function folds
-  /// each field with its own operator, and the single winner folds every
-  /// field into its shared target. k variables, one barrier-equivalent —
-  /// see runtime/reduce.h.
-  void emit_reduce_pack(const std::vector<lang::StmtPtr>& stmts,
-                        std::size_t begin, int k) {
+  /// The one lowering of a reduction: a construct's run of k >= 1 adjacent
+  /// combines becomes ONE zomp_reduce rendezvous. Every member copies its
+  /// partials into a struct, the combine function folds each field with its
+  /// own operator, and the single winner folds every field into its shared
+  /// target (the ensuing barrier publishes it) — see runtime/reduce.h. Only
+  /// the pack's address reaches the runtime, never a private's, so the
+  /// accumulator stays in a register through the loop (DESIGN.md S7).
+  void emit_reduce_pack(const std::vector<const Stmt*>& run) {
     line() << "{";
     out_ << '\n';
     open();
-    const std::string loc = loc_ident(*stmts[begin], "reduction");
+    const std::string loc = loc_ident(*run.front(), "reduction");
     out_ << '\n';
     const std::string pack = fresh("redpack");
     line() << "struct " << pack << "_t {";
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
-      out_ << ' ' << cpp_type(s.symbol->type) << " v" << i << ';';
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      out_ << ' ' << cpp_type(run[i]->symbol->type) << " v" << i << ';';
     }
     out_ << " };\n";
     line() << "struct " << pack << "_s { static void run(void* __a, "
@@ -1210,10 +1189,10 @@ class Emitter {
     out_ << '\n';
     line() << "const auto* __y = static_cast<const " << pack << "_t*>(__b);";
     out_ << '\n';
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
+    for (std::size_t i = 0; i < run.size(); ++i) {
       const std::string field = "v" + std::to_string(i);
-      line() << combine_text(s.reduce_op, "__x->" + field, "__y->" + field)
+      line() << combine_text(run[i]->reduce_op, "__x->" + field,
+                             "__y->" + field)
              << ';';
       out_ << '\n';
     }
@@ -1221,18 +1200,17 @@ class Emitter {
     line() << "} };";
     out_ << '\n';
     line() << pack << "_t " << pack << "{";
-    for (int i = 0; i < k; ++i) {
+    for (std::size_t i = 0; i < run.size(); ++i) {
       if (i > 0) out_ << ", ";
-      out_ << var_name(stmts[begin + static_cast<std::size_t>(i)]->symbol);
+      out_ << var_name(run[i]->symbol);
     }
     out_ << "};\n";
     line() << "if (zomp_reduce(&" << loc << ", __gtid, &" << pack
            << ", sizeof(" << pack << "), &" << pack << "_s::run)) {";
     out_ << '\n';
     open();
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
-      line() << combine_text(s.reduce_op, var_name(s.target_symbol),
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      line() << combine_text(run[i]->reduce_op, var_name(run[i]->target_symbol),
                              pack + ".v" + std::to_string(i))
              << ';';
       out_ << '\n';

@@ -139,14 +139,14 @@ class Renamer {
   bool shadowed_ = false;
 };
 
-/// red_pack value for combine #i of a run of n (see Stmt::red_pack): the
-/// head carries the run length, the rest 0. Runs longer than the
-/// interpreter's fixed pack payload (16 entries) degrade to per-variable
-/// rendezvous — correct, just not packed.
+/// red_pack value for combine #i of a run of n (see Stmt::red_pack): each
+/// pack's head carries its length, the rest 0. Runs longer than the
+/// interpreter's fixed pack payload (16 entries) split into consecutive
+/// packs of at most 16 — one rendezvous each.
 int pack_len(std::size_t i, std::size_t n) {
   constexpr std::size_t kMaxPack = 16;
-  if (n > kMaxPack) return 1;
-  return i == 0 ? static_cast<int>(n) : 0;
+  if (i % kMaxPack != 0) return 0;
+  return static_cast<int>(std::min(kMaxPack, n - i));
 }
 
 lang::ScheduleSpec clone_schedule(const lang::ScheduleSpec& spec) {
@@ -458,8 +458,8 @@ class Transformer {
     // All of the construct's combines are emitted adjacently and the first
     // carries the run length: backends pack the run into ONE zomp_reduce
     // rendezvous (struct payload, one barrier-equivalent for k variables —
-    // see runtime/reduce.h). Runs past the pack cap fall back to per-var
-    // rendezvous, which only bounds the interpreter's fixed payload.
+    // see runtime/reduce.h). Runs past the pack cap split into several
+    // packs, which only bounds the interpreter's fixed payload.
     for (std::size_t i = 0; i < reduction_names.size(); ++i) {
       const auto& n = reduction_names[i];
       auto combine = Stmt::make(Stmt::Kind::kOmpReductionCombine, d.loc);

@@ -93,62 +93,15 @@ Value combine_values(ReduceOp op, const Value& a, const Value& b,
   panic(loc, "bad reduction operator");
 }
 
-/// Trivially-copyable payload for team reductions: the runtime tree memcpy's
-/// its slots, so Value (a variant with non-trivial alternatives) cannot ride
-/// in them directly. Sema restricts reductions to i64/f64/bool, which all
-/// fit here; every member carries the same tag and op for one construct.
-struct RedPod {
-  std::uint8_t tag = 0;  // 0 = i64, 1 = f64, 2 = bool
-  lang::ReduceOp op = lang::ReduceOp::kAdd;
-  std::int64_t i = 0;
-  double f = 0.0;
-  bool b = false;
-};
-
-RedPod to_pod(const Value& v, ReduceOp op, const lang::SourceLoc& loc) {
-  RedPod pod;
-  pod.op = op;
-  if (std::holds_alternative<std::int64_t>(v.v)) {
-    pod.tag = 0;
-    pod.i = v.as_i64();
-  } else if (std::holds_alternative<double>(v.v)) {
-    pod.tag = 1;
-    pod.f = v.as_f64();
-  } else if (std::holds_alternative<bool>(v.v)) {
-    pod.tag = 2;
-    pod.b = v.as_bool();
-  } else {
-    panic(loc, "reduction over non-scalar value");
-  }
-  return pod;
-}
-
-Value from_pod(const RedPod& pod) {
-  switch (pod.tag) {
-    case 1: return Value(pod.f);
-    case 2: return Value(pod.b);
-    default: return Value(pod.i);
-  }
-}
-
-void pod_combine(void* /*ctx*/, void* lhs, const void* rhs) {
-  auto* a = static_cast<RedPod*>(lhs);
-  const auto* b = static_cast<const RedPod*>(rhs);
-  static const lang::SourceLoc kNoLoc{};
-  const Value combined = combine_values(b->op, from_pod(*a), from_pod(*b), kNoLoc);
-  switch (a->tag) {
-    case 1: a->f = combined.as_f64(); break;
-    case 2: a->b = combined.as_bool(); break;
-    default: a->i = combined.as_i64(); break;
-  }
-}
-
-/// Multi-variable packed payload (one rendezvous for a whole construct's
-/// reduction run, Stmt::red_pack; see runtime/reduce.h). Entries are 16
-/// bytes so up to 3 variables still ride the inline tree slots; larger
-/// packs transparently take the tree's per-team fallback lock — either way
-/// the construct costs ONE rendezvous, not k. The deposited size is
-/// truncated to the live entries so the tree sees the smallest payload.
+/// Packed payload for team reductions (one rendezvous for a whole
+/// construct's reduction run, Stmt::red_pack; see runtime/reduce.h). The
+/// runtime tree memcpy's its slots, so Value (a variant with non-trivial
+/// alternatives) cannot ride in them directly; sema restricts reductions to
+/// i64/f64/bool, which all fit an entry. Entries are 16 bytes so up to 3
+/// variables still ride the inline tree slots; larger packs transparently
+/// take the tree's per-team fallback lock — either way the construct costs
+/// ONE rendezvous, not k. The deposited size is truncated to the live
+/// entries so the tree sees the smallest payload.
 struct PackEntry {
   std::uint8_t tag = 0;  // 0 = i64, 1 = f64, 2 = bool
   std::uint8_t op = 0;   // lang::ReduceOp
@@ -280,12 +233,17 @@ class Exec {
         for (std::size_t i = 0; i < stmt.stmts.size(); ++i) {
           const Stmt& s = *stmt.stmts[i];
           // A run of adjacent reduction combines (head carries the run
-          // length) becomes ONE packed rendezvous instead of one per
-          // variable; see exec_reduce_pack.
-          if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack > 1 &&
-              i + static_cast<std::size_t>(s.red_pack) <= stmt.stmts.size()) {
-            exec_reduce_pack(stmt.stmts, i, s.red_pack);
-            i += static_cast<std::size_t>(s.red_pack) - 1;
+          // length, 1 for a single variable) becomes ONE packed rendezvous;
+          // see exec_reduce_pack.
+          const auto k = static_cast<std::size_t>(s.red_pack);
+          if (s.kind == Stmt::Kind::kOmpReductionCombine && k >= 1 &&
+              i + k <= stmt.stmts.size()) {
+            std::vector<const Stmt*> run;
+            for (std::size_t j = i; j < i + k; ++j) {
+              run.push_back(stmt.stmts[j].get());
+            }
+            exec_reduce_pack(run);
+            i += k - 1;
             continue;
           }
           const Flow f = exec_stmt(s);
@@ -388,21 +346,9 @@ class Exec {
       case Stmt::Kind::kOmpReductionInit:
         bind(stmt.symbol, identity_value(stmt.reduce_op, stmt.symbol->type));
         return Flow::kNormal;
-      case Stmt::Kind::kOmpReductionCombine: {
-        // Team tree rendezvous (runtime/reduce.h): the winner alone folds the
-        // combined partials into the shared target, and the construct's
-        // ensuing barrier (join or explicit) publishes the write — no lock.
-        Cell target = cell_of(stmt.target_symbol, stmt.loc);
-        const Cell local = cell_of(stmt.symbol, stmt.loc);
-        rt::ThreadState& ts = rt::current_thread();
-        RedPod pod = to_pod(*local, stmt.reduce_op, stmt.loc);
-        if (ts.team->reduce_combine(ts, &pod, sizeof(pod), &pod_combine,
-                                    nullptr, /*broadcast=*/false)) {
-          *target =
-              combine_values(stmt.reduce_op, *target, from_pod(pod), stmt.loc);
-        }
+      case Stmt::Kind::kOmpReductionCombine:
+        exec_reduce_pack({&stmt});  // outside a run: a pack of one
         return Flow::kNormal;
-      }
       case Stmt::Kind::kOmpLastprivateWrite: {
         Cell target = cell_of(stmt.target_symbol, stmt.loc);
         *target = *cell_of(stmt.symbol, stmt.loc);
@@ -429,23 +375,24 @@ class Exec {
     return Flow::kNormal;
   }
 
-  /// One rendezvous for a construct's whole run of `k` reduction combines:
-  /// every member deposits a PackPod of its partials, the tree combines
-  /// field-by-field (each with its own operator), and the winner alone folds
-  /// every field into its shared target.
-  void exec_reduce_pack(const std::vector<lang::StmtPtr>& stmts,
-                        std::size_t begin, int k) {
+  /// The one reduction path: a construct's run of k >= 1 combines is one
+  /// team tree rendezvous (runtime/reduce.h). Every member deposits a
+  /// PackPod of its partials, the tree combines field-by-field (each with
+  /// its own operator), and the winner alone folds every field into its
+  /// shared target; the construct's ensuing barrier publishes the writes.
+  void exec_reduce_pack(const std::vector<const Stmt*>& run) {
     rt::ThreadState& ts = rt::current_thread();
+    const int k = static_cast<int>(run.size());
     PackPod pod;
     pod.n = k;
     for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
+      const Stmt& s = *run[static_cast<std::size_t>(i)];
       pod.e[i] = to_pack_entry(*cell_of(s.symbol, s.loc), s.reduce_op, s.loc);
     }
     if (ts.team->reduce_combine(ts, &pod, pack_size(k), &pack_combine,
                                 nullptr, /*broadcast=*/false)) {
       for (int i = 0; i < k; ++i) {
-        const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
+        const Stmt& s = *run[static_cast<std::size_t>(i)];
         Cell target = cell_of(s.target_symbol, s.loc);
         *target = combine_values(s.reduce_op, *target, from_pack_entry(pod.e[i]),
                                  s.loc);

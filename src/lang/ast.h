@@ -333,12 +333,12 @@ struct Stmt {
   ReduceOp reduce_op = ReduceOp::kAdd;
   Symbol* target_symbol = nullptr;  // sema
 
-  /// kOmpReductionCombine only: multi-variable packing (reduce.h). On the
-  /// FIRST combine of a construct's consecutive combine run, the number of
-  /// combines in the run (>= 1); 0 on the others. Backends lower a run with
-  /// head red_pack > 1 as ONE zomp_reduce rendezvous over a struct payload
-  /// of all the partials instead of one rendezvous per variable. Set by the
-  /// directive engine, which emits each construct's combines adjacently.
+  /// kOmpReductionCombine only: packing (reduce.h). On the FIRST combine of
+  /// a construct's consecutive combine run, the number of combines in the
+  /// run (1..16); 0 on the others. Backends lower every run, a single
+  /// variable included, as ONE zomp_reduce rendezvous over a struct payload
+  /// of the partials. Set by the directive engine, which emits each
+  /// construct's combines adjacently.
   int red_pack = 1;
 
   static StmtPtr make(Kind kind, SourceLoc loc);

@@ -351,10 +351,32 @@ void PlaceTable::set_for_test(std::vector<Place> places) {
 // Placement math
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Clamps fork inputs the way the placement math reads them: the partition
+/// into a table of `total` places (part_len == 0 means "whole table", the
+/// initial data environment before any fork narrowed it), and the master
+/// to its index within the partition — 0 when outside it, which includes
+/// the unbound place_num -1 a master has before its first bound region.
+void clamp_plan_inputs(i32 total, i32& part_lo, i32& part_len,
+                       i32 master_place, i32& m) {
+  if (part_lo < 0 || part_lo >= total) part_lo = 0;
+  if (part_len <= 0 || part_lo + part_len > total) part_len = total - part_lo;
+  m = master_place - part_lo;
+  if (m < 0 || m >= part_len) m = 0;
+}
+
+}  // namespace
+
 u64 binding_sig(BindKind bind, i32 part_lo, i32 part_len, i32 master_place,
                 i32 size) {
   if (bind == BindKind::kUnset || bind == BindKind::kFalse) return 0;
   if (!PlaceTable::instance().available()) return 0;
+  // Keyed on the clamped inputs plan_binding actually uses, so equal plans
+  // get equal keys whatever the master's place_num was before clamping.
+  i32 m = 0;
+  clamp_plan_inputs(PlaceTable::instance().num_places(), part_lo, part_len,
+                    master_place, m);
   // FNV-style mix over the plan inputs plus the table generation; the high
   // bit keeps active signatures distinct from the inactive sentinel 0.
   u64 h = 1469598103934665603ull;
@@ -365,7 +387,7 @@ u64 binding_sig(BindKind bind, i32 part_lo, i32 part_len, i32 master_place,
   mix(static_cast<u64>(static_cast<i64>(bind)));
   mix(static_cast<u64>(part_lo));
   mix(static_cast<u64>(part_len));
-  mix(static_cast<u64>(static_cast<i64>(master_place)));
+  mix(static_cast<u64>(m));
   mix(static_cast<u64>(size));
   mix(PlaceTable::instance().generation());
   return h | (u64{1} << 63);
@@ -381,14 +403,10 @@ BindingPlan plan_binding(BindKind bind, i32 part_lo, i32 part_len,
   const i32 total = table.num_places();
   if (total == 0) return plan;
 
-  // Clamp the partition into the table; part_len == 0 means "whole table"
-  // (the initial data environment before any fork narrowed it).
-  if (part_lo < 0 || part_lo >= total) part_lo = 0;
-  if (part_len <= 0 || part_lo + part_len > total) part_len = total - part_lo;
+  i32 m = 0;  // master's index within the partition
+  clamp_plan_inputs(total, part_lo, part_len, master_place, m);
   const i32 K = part_len;
   const i32 T = size;
-  i32 m = master_place - part_lo;  // master's index within the partition
-  if (m < 0 || m >= K) m = 0;
 
   plan.active = true;
   plan.sig = binding_sig(bind, part_lo, part_len, master_place, size);

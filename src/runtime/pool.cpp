@@ -431,19 +431,13 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
   }
 
   // Miss (or forced growth retry): pick the victim slot before acquiring so
-  // its workers are back on the idle stack for deterministic reuse. Prefer
-  // the slot this fork aliases (same level+request, stale binding or forced
-  // retry), then an empty slot, then the least recently used.
+  // its workers are back on the idle stack for deterministic reuse. A growth
+  // retry replaces the undersized entry it hit; a miss takes an empty slot,
+  // then the least recently used. Entries differing only in binding
+  // signature are distinct shapes, so alternating proc_binds keep both hot.
   metrics_add(Metric::kHotTeamRebuilds);
-  HotSlot* victim = nullptr;
+  HotSlot* victim = hit;
   if (cacheable) {
-    for (HotSlot& slot : ts.hot_slots) {
-      if (slot.team != nullptr && !slot.in_use &&
-          slot.level == parent_level && slot.requested == want) {
-        victim = &slot;
-        break;
-      }
-    }
     if (victim == nullptr) {
       for (HotSlot& slot : ts.hot_slots) {
         if (slot.team == nullptr && !slot.in_use) {

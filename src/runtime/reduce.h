@@ -28,14 +28,15 @@
 // epoch gates slot reuse so back-to-back `nowait` reductions cannot overwrite
 // a slot the previous combine is still reading.
 //
-// Multi-variable constructs pack into ONE rendezvous: a directive with k
+// Every construct packs into ONE rendezvous: a directive with k >= 1
 // reduction clauses (`reduction(+: a) reduction(max: b) ...`) costs one
 // combine, not k. The directive engine marks the construct's combine run
 // (Stmt::red_pack) and both backends deposit a single struct payload whose
-// fields are the k partials; the combine function applies each variable's
-// operator to its own field. Payloads beyond kSlotBytes transparently take
-// the fallback-lock path — still one rendezvous, never k. The payload is
-// opaque to the tree: `size` and `fn` are simply those of the struct.
+// fields are the k partials (a single variable is a pack of one); the
+// combine function applies each variable's operator to its own field.
+// Payloads beyond kSlotBytes transparently take the fallback-lock path —
+// still one rendezvous, never k. The payload is opaque to the tree: `size`
+// and `fn` are simply those of the struct.
 //
 // The tree belongs to exactly one Team and survives hot-team recycling
 // (pool.h) without any reset: instance sequence numbers are monotonic

@@ -18,6 +18,15 @@ std::string gen(const std::string& source, CodegenOptions options = {}) {
   return emit_cpp(*result.module, options);
 }
 
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(CppTypeTest, Spellings) {
   EXPECT_EQ(cpp_type(lang::Type::i64()), "std::int64_t");
   EXPECT_EQ(cpp_type(lang::Type::f64()), "double");
@@ -107,8 +116,10 @@ fn f(n: i64) f64 {
 )");
   EXPECT_NE(cpp.find("std::numeric_limits<double>::infinity()"),
             std::string::npos);
-  // Tree rendezvous: a static combine fn + winner-only fold into the target.
+  // Tree rendezvous over a one-field pack: a static combine fn + winner-only
+  // fold into the target (single variables take the packed path too).
   EXPECT_NE(cpp.find("if (zomp_reduce("), std::string::npos);
+  EXPECT_NE(cpp.find("__redpack_"), std::string::npos) << cpp;
   EXPECT_NE(cpp.find("mz::mz_min("), std::string::npos);
   EXPECT_EQ(cpp.find("zomp_reduce_enter("), std::string::npos)
       << "global-critical reduction protocol must be retired";
@@ -129,13 +140,54 @@ fn f(n: i64) f64 {
   return s + @floatFromInt(m);
 }
 )");
-  std::size_t count = 0;
-  for (std::size_t at = cpp.find("zomp_reduce("); at != std::string::npos;
-       at = cpp.find("zomp_reduce(", at + 1)) {
-    ++count;
-  }
-  EXPECT_EQ(count, 1u) << "expected exactly one packed rendezvous:\n" << cpp;
+  EXPECT_EQ(count_of(cpp, "zomp_reduce("), 1u)
+      << "expected exactly one packed rendezvous:\n" << cpp;
   EXPECT_NE(cpp.find("__redpack_"), std::string::npos) << cpp;
+}
+
+TEST(CodegenTest, SingleVarReductionPrivateNeverEscapes) {
+  // Jacobi-shaped sweep: the accumulator is copied into a one-field pack
+  // before the rendezvous, so its own address never reaches the runtime and
+  // the compiler may keep it in a register across the f64 stores to dst.
+  const std::string cpp = gen(R"(
+fn sweep(n: i64, src: []f64, dst: []f64) f64 {
+  var res: f64 = 0.0;
+  //#omp parallel for reduction(+: res)
+  for (1..n) |k| {
+    const d: f64 = src[k] - src[k - 1];
+    res += d * d;
+    dst[k] = d;
+  }
+  return res;
+}
+)");
+  EXPECT_NE(cpp.find("__redpack_"), std::string::npos) << cpp;
+  EXPECT_EQ(count_of(cpp, "zomp_reduce("), 1u) << cpp;
+  const std::size_t call = cpp.find("zomp_reduce(");
+  ASSERT_NE(call, std::string::npos);
+  const std::string args = cpp.substr(call, cpp.find(')', call) - call);
+  EXPECT_EQ(args.find("&res_"), std::string::npos)
+      << "the private accumulator's address escapes: " << args;
+}
+
+TEST(CodegenTest, ReductionPastPackCapSplitsIntoPacks) {
+  // 17 variables = the 16-entry pack cap plus a remainder of one: two
+  // rendezvous, and both are packs (none takes a per-variable path).
+  std::string decls, clauses, body, sum = "0";
+  for (int v = 0; v < 17; ++v) {
+    const std::string name = "r" + std::to_string(v);
+    decls += "  var " + name + ": i64 = 0;\n";
+    clauses += " reduction(+: " + name + ")";
+    body += "    " + name + " += i * " + std::to_string(v + 1) + ";\n";
+    sum += " + " + name;
+  }
+  const std::string cpp =
+      gen("fn f(n: i64) i64 {\n" + decls + "  //#omp parallel for" + clauses +
+          "\n  for (0..n) |i| {\n" + body + "  }\n  return " + sum + ";\n}\n");
+  EXPECT_EQ(count_of(cpp, "zomp_reduce("), 2u) << cpp;
+  EXPECT_EQ(count_of(cpp, "_t __redpack_"), 2u) << cpp;
+  EXPECT_NE(cpp.find(" std::int64_t v15; };"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("_t { std::int64_t v0; };"), std::string::npos) << cpp;
 }
 
 TEST(CodegenTest, CollapseEmitsOdometerAdvance) {

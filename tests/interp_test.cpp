@@ -335,6 +335,28 @@ INSTANTIATE_TEST_SUITE_P(
         ReduceOpCase{"|", "0", "acc = acc | i;", "7"},
         ReduceOpCase{"^", "0", "acc = acc ^ i;", "0"}));  // xor of 1..7
 
+TEST(InterpOmpTest, ReductionPastPackCapCombinesEveryVariable) {
+  // 17 variables split into a 16-entry pack and a pack of one; every
+  // variable still folds into its own target: r_v = (v + 1) * (0 + .. + 9).
+  std::string decls, clauses, body, prints;
+  for (int v = 0; v < 17; ++v) {
+    const std::string name = "r" + std::to_string(v);
+    decls += "  var " + name + ": i64 = 0;\n";
+    clauses += " reduction(+: " + name + ")";
+    body += "    " + name + " += i * " + std::to_string(v + 1) + ";\n";
+    prints += (v > 0 ? ", " : "") + name;
+  }
+  std::string want;
+  for (int v = 0; v < 17; ++v) {
+    want += (v > 0 ? " " : "") + std::to_string(45 * (v + 1));
+  }
+  expect_output("pub fn main() void {\n" + decls +
+                    "  //#omp parallel for num_threads(4)" + clauses +
+                    "\n  for (0..10) |i| {\n" + body + "  }\n  @print(" +
+                    prints + ");\n}\n",
+                want + "\n");
+}
+
 TEST(InterpOmpTest, StandaloneForSplitsAmongTeam) {
   expect_output(R"(
 pub fn main() void {
