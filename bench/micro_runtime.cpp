@@ -21,9 +21,6 @@
 
 namespace {
 
-using zomp::rt::Barrier;
-using zomp::rt::BarrierKind;
-
 int bench_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 2 : static_cast<int>(hc);
@@ -317,38 +314,6 @@ ZOMP_BENCHMARK(BM_CancellationPointOverhead)
     ->Args({2, 8})
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(200);
-
-void BM_BarrierCentral(benchmark::State& state) {
-  const int threads = bench_threads();
-  const int rounds = 64;
-  for (auto _ : state) {
-    auto barrier = Barrier::create(BarrierKind::kCentral, threads);
-    zomp::parallel(
-        [&] {
-          const int tid = zomp::thread_num();
-          for (int i = 0; i < rounds; ++i) barrier->wait(tid);
-        },
-        zomp::ParallelOptions{threads, true});
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-}
-ZOMP_BENCHMARK(BM_BarrierCentral)->Unit(benchmark::kMicrosecond)->Iterations(50);
-
-void BM_BarrierTree(benchmark::State& state) {
-  const int threads = bench_threads();
-  const int rounds = 64;
-  for (auto _ : state) {
-    auto barrier = Barrier::create(BarrierKind::kTree, threads);
-    zomp::parallel(
-        [&] {
-          const int tid = zomp::thread_num();
-          for (int i = 0; i < rounds; ++i) barrier->wait(tid);
-        },
-        zomp::ParallelOptions{threads, true});
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-}
-ZOMP_BENCHMARK(BM_BarrierTree)->Unit(benchmark::kMicrosecond)->Iterations(50);
 
 void BM_WorksharingDispatch(benchmark::State& state) {
   // kind: 0 static, 1 dynamic, 2 guided; iterations fixed, chunk varies.
@@ -650,6 +615,7 @@ void BM_TaskQueueOwnerOps(benchmark::State& state) {
   constexpr int kBurst = 256;
   zomp::rt::TaskContext parent;
   zomp::rt::TaskPool ws_pool(1);
+  zomp::rt::Counters counters;
   MutexTaskPool mutex_pool(1);
   std::vector<std::unique_ptr<zomp::rt::Task>> arena;
   arena.reserve(kBurst);
@@ -669,7 +635,7 @@ void BM_TaskQueueOwnerOps(benchmark::State& state) {
       }
     }
     for (int i = 0; i < kBurst; ++i) {
-      auto t = lockfree ? ws_pool.take(0) : mutex_pool.take(0);
+      auto t = lockfree ? ws_pool.take(0, counters) : mutex_pool.take(0);
       if (!t) {
         state.SkipWithError("queue lost a task");
         break;
@@ -711,8 +677,10 @@ void BM_TaskQueueStealDrain(benchmark::State& state) {
     threads.reserve(static_cast<std::size_t>(thieves));
     for (int t = 1; t <= thieves; ++t) {
       threads.emplace_back([&, t] {
+        zomp::rt::Counters counters;
         for (;;) {
-          auto task = lockfree ? ws_pool->take(t) : mutex_pool->take(t);
+          auto task =
+              lockfree ? ws_pool->take(t, counters) : mutex_pool->take(t);
           if (task) {
             (lockfree ? static_cast<void>(ws_pool->mark_finished())
                       : mutex_pool->mark_finished());
@@ -759,8 +727,10 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
     for (int t = 1; t <= thieves; ++t) {
       threads.emplace_back([&, t] {
         zomp::rt::Backoff backoff;
+        zomp::rt::Counters counters;
         for (;;) {
-          auto task = lockfree ? ws_pool->take(t) : mutex_pool->take(t);
+          auto task =
+              lockfree ? ws_pool->take(t, counters) : mutex_pool->take(t);
           if (task) {
             (lockfree ? static_cast<void>(ws_pool->mark_finished())
                       : mutex_pool->mark_finished());
@@ -787,8 +757,10 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
       }
     }
     producing.store(false, std::memory_order_release);
+    zomp::rt::Counters counters;
     for (;;) {  // producer helps drain, like the join barrier
-      auto task = lockfree ? ws_pool->take(0) : mutex_pool->take(0);
+      auto task =
+          lockfree ? ws_pool->take(0, counters) : mutex_pool->take(0);
       if (task) {
         (lockfree ? static_cast<void>(ws_pool->mark_finished())
                   : mutex_pool->mark_finished());
@@ -841,9 +813,11 @@ void BM_DynamicChunkClaim(benchmark::State& state) {
         std::int64_t mine = 0;
         if (batched) {
           zomp::rt::MemberDispatch md;
+          zomp::rt::Counters counters;
           std::int64_t lo = 0, hi = 0;
           bool last = false;
-          while (zomp::rt::dispatch_next_chunk(*slot, md, t, &lo, &hi, &last)) {
+          while (zomp::rt::dispatch_next_chunk(*slot, md, counters, &lo, &hi,
+                                               &last)) {
             mine += hi - lo;
           }
         } else {
@@ -916,8 +890,9 @@ void BM_HierarchicalSteal(benchmark::State& state) {
     for (int t = 0; t < kMembers; ++t) {
       if (t == 0 || t == kGroup) continue;  // producers do not help
       thieves.emplace_back([&, t] {
+        zomp::rt::Counters counters;
         for (;;) {
-          if (auto task = pool->take(t)) {
+          if (auto task = pool->take(t, counters)) {
             pool->mark_finished();
             drained.fetch_add(1, std::memory_order_relaxed);
           } else if (pool->outstanding() == 0) {
@@ -977,9 +952,11 @@ void BM_DynamicPerPlaceCursor(benchmark::State& state) {
       workers.emplace_back([&, t] {
         zomp::rt::MemberDispatch md;
         md.shard = map.member_shard[static_cast<std::size_t>(t)];
+        zomp::rt::Counters counters;
         std::int64_t mine = 0, lo = 0, hi = 0;
         bool last = false;
-        while (zomp::rt::dispatch_next_chunk(*slot, md, t, &lo, &hi, &last)) {
+        while (zomp::rt::dispatch_next_chunk(*slot, md, counters, &lo, &hi,
+                                             &last)) {
           mine += hi - lo;
         }
         claimed_total.fetch_add(mine, std::memory_order_relaxed);

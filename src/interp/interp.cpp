@@ -1081,6 +1081,9 @@ Interp::Interp(const lang::Module& module, Options options)
   register_host_fn("mz_omp_trace_flush", [](std::vector<Value>&) {
     return Value(mz_omp_trace_flush());
   });
+  register_host_fn("mz_omp_get_cancellation", [](std::vector<Value>&) {
+    return Value(mz_omp_get_cancellation());
+  });
   register_host_fn("mz_omp_get_proc_bind", [](std::vector<Value>&) {
     return Value(static_cast<std::int64_t>(zomp::get_proc_bind()));
   });

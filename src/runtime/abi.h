@@ -389,8 +389,8 @@ zomp_tool_callback_t zomp_get_callback(std::int32_t event);
 /// the write failed.
 std::int32_t zomp_trace_flush(void);
 
-/// zomp::team_stats() twin (the PR 6 StealStats totals + S12 counters for
-/// the caller's innermost team). Same quiescent-read contract.
+/// zomp::team_stats() twin: the lifetime counters of the caller's innermost
+/// team's member threads, summed. Readable at any point.
 struct zomp_team_stats_t {
   std::int64_t steal_attempts;
   std::int64_t steal_lost;

@@ -192,14 +192,21 @@ double wtick() {
 }
 
 TeamStats team_stats() {
-  const rt::StealStats total = current_thread().team->tasks().stats_total();
+  rt::Team& team = *current_thread().team;
+  const auto sum = [&team](rt::Metric m) {
+    rt::u64 total = 0;
+    for (rt::i32 t = 0; t < team.size(); ++t) {
+      total += team.member(t).counters->value(m);
+    }
+    return static_cast<rt::i64>(total);
+  };
   TeamStats out;
-  out.steal_attempts = static_cast<rt::i64>(total.steal_attempts);
-  out.steal_lost = static_cast<rt::i64>(total.steal_lost);
-  out.mailbox_pulls = static_cast<rt::i64>(total.mailbox_pulls);
-  out.tasks_executed = static_cast<rt::i64>(total.tasks_executed);
-  out.dispatch_claims = static_cast<rt::i64>(total.dispatch_claims);
-  out.barrier_episodes = static_cast<rt::i64>(total.barrier_episodes);
+  out.steal_attempts = sum(rt::Metric::kStealAttempts);
+  out.steal_lost = sum(rt::Metric::kStealLost);
+  out.mailbox_pulls = sum(rt::Metric::kMailboxPulls);
+  out.tasks_executed = sum(rt::Metric::kTasksExecuted);
+  out.dispatch_claims = sum(rt::Metric::kDispatchClaims);
+  out.barrier_episodes = sum(rt::Metric::kBarrierEpisodes);
   return out;
 }
 

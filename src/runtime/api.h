@@ -121,11 +121,11 @@ double wtime();
 /// Timer resolution in seconds (omp_get_wtick).
 double wtick();
 
-/// Innermost team scheduling telemetry (DESIGN.md S12): the per-member
-/// StealStats totals, summed across the team. Accumulates across hot-team
-/// reuses of the same team object. Quiescent-read contract: call from a
-/// point where no sibling is mid-region (after a barrier, or outside the
-/// region on the master) — the per-member entries are plain fields.
+/// Scheduling counters of the innermost team's members (DESIGN.md S12):
+/// each member thread's lifetime counts, summed over the current members,
+/// so they include the members' work in earlier regions and other teams.
+/// Take deltas to measure one region. Safe to call from any point, also
+/// while siblings run: each counter reads as some recent value.
 struct TeamStats {
   rt::i64 steal_attempts = 0;
   rt::i64 steal_lost = 0;

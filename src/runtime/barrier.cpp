@@ -1,17 +1,6 @@
 #include "runtime/barrier.h"
 
-#include "runtime/trace.h"
-
 namespace zomp::rt {
-
-std::unique_ptr<Barrier> Barrier::create(BarrierKind kind, i32 n) {
-  ZOMP_CHECK(n >= 1, "barrier needs at least one member");
-  switch (kind) {
-    case BarrierKind::kCentral: return std::make_unique<CentralBarrier>(n);
-    case BarrierKind::kTree: return std::make_unique<TreeBarrier>(n);
-  }
-  return nullptr;
-}
 
 PhaseSync::PhaseSync(i32 n) : n_(n), slots_(static_cast<std::size_t>(n)) {
   ZOMP_CHECK(n >= 1, "phase sync needs at least one member");
@@ -53,67 +42,6 @@ bool PhaseSync::await_all(u64 seq, const std::atomic<i32>* cancel,
     if (!await(m, seq, nullptr, 0, cancel, mask)) return false;
   }
   return true;
-}
-
-CentralBarrier::CentralBarrier(i32 n) : n_(n), local_sense_(n) {}
-
-void CentralBarrier::wait(i32 member) {
-  ZOMP_CHECK(member >= 0 && member < n_, "barrier member id out of range");
-  trace_emit(TraceEv::kBarrierEnter, kBarrierKindCentral);
-  const bool my_sense = !local_sense_[member].sense;
-  local_sense_[member].sense = my_sense;
-  if (arrived_.fetch_add(1, std::memory_order_acq_rel) == n_ - 1) {
-    // Last arriver resets the counter for the next round, then releases.
-    arrived_.store(0, std::memory_order_relaxed);
-    global_sense_.store(my_sense, std::memory_order_release);
-    trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindCentral);
-    return;
-  }
-  Backoff backoff;
-  while (global_sense_.load(std::memory_order_acquire) != my_sense) {
-    backoff.pause();
-  }
-  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindCentral);
-}
-
-TreeBarrier::TreeBarrier(i32 n) : n_(n) {
-  // Node i's children are members i*kArity+1 .. i*kArity+kArity; member i
-  // doubles as tree node i (standard implicit-heap layout).
-  nodes_ = std::vector<Node>(static_cast<std::size_t>(n));
-  for (i32 i = 0; i < n_; ++i) {
-    i32 fanin = 1;  // the member itself
-    for (i32 c = 1; c <= kArity; ++c) {
-      if (i64{i} * kArity + c < n_) ++fanin;
-    }
-    nodes_[static_cast<std::size_t>(i)].fanin = fanin;
-    nodes_[static_cast<std::size_t>(i)].pending.store(fanin,
-                                                      std::memory_order_relaxed);
-  }
-}
-
-void TreeBarrier::arrive(i32 node) {
-  Node& nd = nodes_[static_cast<std::size_t>(node)];
-  if (nd.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Subtree complete: re-arm for the next round, then propagate.
-    nd.pending.store(nd.fanin, std::memory_order_relaxed);
-    if (node == 0) {
-      generation_.fetch_add(1, std::memory_order_acq_rel);
-    } else {
-      arrive((node - 1) / kArity);
-    }
-  }
-}
-
-void TreeBarrier::wait(i32 member) {
-  ZOMP_CHECK(member >= 0 && member < n_, "barrier member id out of range");
-  trace_emit(TraceEv::kBarrierEnter, kBarrierKindTree);
-  const u64 gen = generation_.load(std::memory_order_acquire);
-  arrive(member);
-  Backoff backoff;
-  while (generation_.load(std::memory_order_acquire) == gen) {
-    backoff.pause();
-  }
-  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindTree);
 }
 
 }  // namespace zomp::rt

@@ -1,16 +1,6 @@
-// Team barriers.
-//
-// Two algorithms behind one interface so the micro_runtime bench can compare
-// them (ablation A3 in DESIGN.md):
-//  * CentralBarrier — sense-reversing centralized barrier. One atomic counter
-//    and a broadcast flag; O(n) contention on one line, trivially correct.
-//  * TreeBarrier    — arity-4 combining tree: arrive up the tree, release
-//    down it. O(log n) critical path, far less contention on wide teams.
-//
-// Both wait with the exponential-backoff spin-then-yield policy (Backoff in
-// common.h), governed by the OMP_WAIT_POLICY ICV: active waiters spin an
-// exponentially growing budget before yielding, passive waiters yield at
-// once — so oversubscribed test runs stay fast either way.
+// Wait primitives under the team protocols. The team barrier itself is
+// Team::barrier_wait / join_barrier_wait (team.cpp); both wait with the
+// spin-then-yield Backoff (common.h) governed by OMP_WAIT_POLICY.
 //
 // WaitGate is the condvar-park annex for the runtime's epoch-style waits
 // (today: the team join barrier, team.cpp). It packages the PR 3 doorbell
@@ -29,7 +19,6 @@
 
 #include <condition_variable>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -156,66 +145,6 @@ class PhaseSync {
 
   const i32 n_;
   std::vector<Slot> slots_;
-};
-
-enum class BarrierKind { kCentral, kTree };
-
-/// A barrier for a fixed-size group of `n` members, identified by dense ids
-/// [0, n). Reusable: wait() may be called any number of rounds.
-class Barrier {
- public:
-  virtual ~Barrier() = default;
-
-  /// Blocks member `member` until all n members of the current round arrive.
-  virtual void wait(i32 member) = 0;
-
-  virtual i32 size() const = 0;
-
-  static std::unique_ptr<Barrier> create(BarrierKind kind, i32 n);
-};
-
-/// Sense-reversing centralized barrier.
-class CentralBarrier final : public Barrier {
- public:
-  explicit CentralBarrier(i32 n);
-
-  void wait(i32 member) override;
-  i32 size() const override { return n_; }
-
- private:
-  struct alignas(kCacheLine) MemberSense {
-    bool sense = false;
-  };
-
-  const i32 n_;
-  alignas(kCacheLine) std::atomic<i32> arrived_{0};
-  alignas(kCacheLine) std::atomic<bool> global_sense_{false};
-  std::vector<MemberSense> local_sense_;
-};
-
-/// Arity-4 combining-tree barrier: each internal node waits for its children
-/// to arrive, propagates to its parent, and the release wave flips a
-/// generation counter observed by all members.
-class TreeBarrier final : public Barrier {
- public:
-  explicit TreeBarrier(i32 n);
-
-  void wait(i32 member) override;
-  i32 size() const override { return n_; }
-
- private:
-  static constexpr i32 kArity = 4;
-
-  struct alignas(kCacheLine) Node {
-    std::atomic<i32> pending{0};
-    i32 fanin = 0;
-  };
-
-  void arrive(i32 node);
-
-  const i32 n_;
-  std::vector<Node> nodes_;
-  alignas(kCacheLine) std::atomic<u64> generation_{0};
 };
 
 }  // namespace zomp::rt

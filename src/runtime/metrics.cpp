@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <mutex>
 
 #include "runtime/env.h"
 #include "runtime/fault.h"
@@ -11,13 +13,34 @@ namespace zomp::rt {
 namespace metrics_detail {
 
 std::atomic<u32> g_enabled{0};
-std::atomic<u64> g_counters[static_cast<i32>(Metric::kCount)] = {};
 
 }  // namespace metrics_detail
 
 namespace {
 
-std::atomic<u64> g_shard_claims[kMetricsMaxShards] = {};
+/// Every block ever handed out. Heap-leaked (the trace-ring registry
+/// pattern) so the at-exit report still reads the blocks of threads that
+/// are gone; the deque never moves an element, so owners keep their
+/// pointers while the lock guards only the container.
+struct Registry {
+  std::mutex mu;
+  std::deque<Counters> blocks;
+};
+
+Registry& registry() {
+  static Registry* r = new Registry();
+  return *r;
+}
+
+template <typename Read>
+u64 sum_blocks(Read read) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  u64 total = 0;
+  for (const Counters& c : r.blocks) total += read(c);
+  return total;
+}
+
 std::atomic<bool> g_atexit_registered{false};
 
 const char* metric_name(Metric m) {
@@ -45,33 +68,43 @@ void atexit_report() {
 
 }  // namespace
 
-void metrics_note_shard_claim(i32 shard) noexcept {
-  if (!metrics_enabled()) return;
-  metrics_detail::g_counters[static_cast<i32>(Metric::kDispatchClaims)]
-      .fetch_add(1, std::memory_order_relaxed);
-  if (shard < 0) shard = 0;
-  if (shard >= kMetricsMaxShards) shard = kMetricsMaxShards - 1;
-  g_shard_claims[shard].fetch_add(1, std::memory_order_relaxed);
+u64 Counters::value(Metric m) const noexcept {
+  if (m == Metric::kDispatchClaims) {
+    u64 total = 0;
+    for (i32 s = 0; s < kMetricsMaxShards; ++s) total += shard_claims(s);
+    return total;
+  }
+  if (m < Metric::kParallelRegions || m >= Metric::kCount) return 0;
+  return counts_[static_cast<i32>(m)].load(std::memory_order_relaxed);
+}
+
+u64 Counters::shard_claims(i32 shard) const noexcept {
+  if (shard < 0 || shard >= kMetricsMaxShards) return 0;
+  return shard_claims_[shard].load(std::memory_order_relaxed);
+}
+
+Counters* counters_register() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  return &r.blocks.emplace_back();
 }
 
 void metrics_init_from_env() {
   // env_bool warns through warn_malformed_env on unparseable values and
   // falls back to the default (off), so a bad ZOMP_METRICS degrades to the
-  // zero-cost path rather than failing startup.
+  // no-clock path rather than failing startup.
   if (!env_bool("METRICS").value_or(false)) return;
   metrics_detail::g_enabled.store(1, std::memory_order_relaxed);
   if (!g_atexit_registered.exchange(true)) std::atexit(atexit_report);
 }
 
 u64 metrics_value(Metric m) noexcept {
-  if (m < Metric::kParallelRegions || m >= Metric::kCount) return 0;
-  return metrics_detail::g_counters[static_cast<i32>(m)].load(
-      std::memory_order_relaxed);
+  return sum_blocks([m](const Counters& c) { return c.value(m); });
 }
 
 u64 metrics_shard_claims(i32 shard) noexcept {
-  if (shard < 0 || shard >= kMetricsMaxShards) return 0;
-  return g_shard_claims[shard].load(std::memory_order_relaxed);
+  return sum_blocks(
+      [shard](const Counters& c) { return c.shard_claims(shard); });
 }
 
 std::string metrics_report() {
@@ -104,13 +137,6 @@ std::string metrics_report() {
 
 void metrics_set_enabled_for_test(bool on) {
   metrics_detail::g_enabled.store(on ? 1u : 0u, std::memory_order_relaxed);
-}
-
-void metrics_reset_for_test() {
-  for (auto& c : metrics_detail::g_counters) {
-    c.store(0, std::memory_order_relaxed);
-  }
-  for (auto& c : g_shard_claims) c.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace zomp::rt

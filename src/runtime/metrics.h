@@ -1,19 +1,18 @@
-// Process-wide metrics registry (DESIGN.md S12).
+// Per-thread counters and the ZOMP_METRICS report (DESIGN.md S12).
 //
-// A flat table of relaxed atomic counters bumped at the same hook sites the
-// tracer instruments, plus a per-shard dispatch-claim breakdown. Where the
-// per-team StealStats (task.h) answer "what did THIS team's schedule look
-// like" and die with the team, the registry aggregates across every team,
-// rearm, and nesting level for the whole process lifetime.
+// Every counting site in the runtime (pool/team/task/worksharing) bumps the
+// calling thread's Counters block, always: one cache-line-aligned block per
+// ThreadState, written only by its owner with a relaxed load + store (no
+// RMW, no shared line), the single-writer discipline of the trace rings.
+// Blocks are allocated from a heap-leaked registry and never freed, so a
+// thread's counts outlive it. Readers sum blocks with relaxed loads at any
+// time: metrics_value / metrics_report over every block, zomp::team_stats
+// over a team's members. A read racing a writer sees each counter at some
+// recent value; it never tears and never blocks the writer.
 //
-// Cost contract (same as trace_emit and PR 8's cancellation points): with
-// ZOMP_METRICS unset, every metrics_add is one relaxed flag load and a
-// predicted branch. Counter increments are relaxed fetch_adds — hot sites
-// (chunk claims, steals) tolerate that; nothing here orders anything.
-//
-// With ZOMP_METRICS=true a libomp-fenced report (the OMP_DISPLAY_ENV
-// BEGIN/END framing convention) is written to stderr at process exit; tests
-// and tools can pull metrics_report() / metrics_value() directly.
+// ZOMP_METRICS=true adds only the two steady-clock reads around each barrier
+// episode (kBarrierWaitNs) and prints a libomp-fenced report (the
+// OMP_DISPLAY_ENV BEGIN/END framing convention) to stderr at exit.
 #pragma once
 
 #include <atomic>
@@ -28,7 +27,7 @@ enum class Metric : i32 {
   kHotTeamHits = 1,       ///< forks served from the hot-team cache
   kHotTeamRebuilds = 2,   ///< forks that (re)built a team through the pool
   kBarrierEpisodes = 3,   ///< barrier episodes entered (user + join)
-  kBarrierWaitNs = 4,     ///< wall ns spent inside those episodes
+  kBarrierWaitNs = 4,     ///< wall ns inside those episodes (ZOMP_METRICS)
   kDispatchClaims = 5,    ///< dynamic/guided/static chunk claims served
   kTasksExecuted = 6,     ///< explicit task bodies run (incl. inline)
   kTasksStolen = 7,       ///< tasks obtained via a successful deque steal
@@ -39,41 +38,62 @@ enum class Metric : i32 {
   kCount = 12,
 };
 
-namespace metrics_detail {
-
-extern std::atomic<u32> g_enabled;
-extern std::atomic<u64> g_counters[static_cast<i32>(Metric::kCount)];
-
-}  // namespace metrics_detail
-
 /// Upper bound on distinguished shard lanes in the per-shard claim
 /// breakdown; claims from higher shard indexes fold into the last lane.
 inline constexpr i32 kMetricsMaxShards = 16;
 
-/// The disabled-mode gate: one relaxed load.
+/// One thread's counts. add/note_shard_claim are owner-only; value and
+/// shard_claims may be read from any thread.
+class alignas(kCacheLine) Counters {
+ public:
+  /// Any metric but kDispatchClaims, which note_shard_claim counts.
+  void add(Metric m, u64 delta = 1) noexcept {
+    bump(counts_[static_cast<i32>(m)], delta);
+  }
+
+  /// A dispatch chunk claim served from shard `shard` (the worksharing.cpp
+  /// serve paths). kDispatchClaims is the sum of these lanes, so a claim
+  /// is counted once.
+  void note_shard_claim(i32 shard) noexcept {
+    if (shard < 0) shard = 0;
+    if (shard >= kMetricsMaxShards) shard = kMetricsMaxShards - 1;
+    bump(shard_claims_[shard], 1);
+  }
+
+  u64 value(Metric m) const noexcept;
+  u64 shard_claims(i32 shard) const noexcept;
+
+ private:
+  static void bump(std::atomic<u64>& c, u64 delta) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + delta,
+            std::memory_order_relaxed);
+  }
+
+  std::atomic<u64> counts_[static_cast<i32>(Metric::kCount)]{};
+  std::atomic<u64> shard_claims_[kMetricsMaxShards]{};
+};
+
+/// A fresh zeroed block from the process registry. ThreadState's
+/// constructor takes one, so every thread that touches the runtime has one.
+Counters* counters_register();
+
+namespace metrics_detail {
+
+extern std::atomic<u32> g_enabled;
+
+}  // namespace metrics_detail
+
+/// ZOMP_METRICS: one relaxed load. Gates the barrier wait-time clock reads.
 inline bool metrics_enabled() noexcept {
   return metrics_detail::g_enabled.load(std::memory_order_relaxed) != 0;
 }
 
-/// Bump `m` by `delta` when metrics are on. The hook the runtime layers
-/// call; self-gating, so call sites stay one line.
-inline void metrics_add(Metric m, u64 delta = 1) noexcept {
-  if (!metrics_enabled()) return;
-  metrics_detail::g_counters[static_cast<i32>(m)].fetch_add(
-      delta, std::memory_order_relaxed);
-}
-
-/// A dispatch chunk claim served from shard `shard` (worksharing.cpp serve
-/// paths — own-slab, steal_slab victim, and the static/guided cursors).
-/// Counts kDispatchClaims plus the per-shard lane.
-void metrics_note_shard_claim(i32 shard) noexcept;
-
-/// Seeds the registry from ZOMP_METRICS (env_bool semantics; malformed
-/// values warn through the env funnel and read as false) and registers the
-/// at-exit report writer once enabled. Called by GlobalIcv's constructor.
+/// Seeds the flag from ZOMP_METRICS (env_bool semantics; malformed values
+/// warn through the env funnel and read as false) and registers the at-exit
+/// report writer once enabled. Called by GlobalIcv's constructor.
 void metrics_init_from_env();
 
-/// Current counter value / per-shard claim lane (aggregate readers).
+/// A counter / per-shard claim lane summed over every registered block.
 u64 metrics_value(Metric m) noexcept;
 u64 metrics_shard_claims(i32 shard) noexcept;
 
@@ -82,8 +102,7 @@ u64 metrics_shard_claims(i32 shard) noexcept;
 /// fault-injection site counts (pulled from fault.cpp at render time).
 std::string metrics_report();
 
-/// Test hooks: force the enable flag; zero every counter.
+/// Test hook: force the ZOMP_METRICS flag.
 void metrics_set_enabled_for_test(bool on);
-void metrics_reset_for_test();
 
 }  // namespace zomp::rt

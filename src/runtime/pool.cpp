@@ -309,7 +309,7 @@ void run_region(Team& team, const std::vector<Worker*>& workers, Microtask fn,
   const i32 n = static_cast<i32>(workers.size());
   if (n > 0) note_active_workers(n);
   trace_emit(TraceEv::kParallelBegin, team.size(), team.level());
-  metrics_add(Metric::kParallelRegions);
+  master.counters->add(Metric::kParallelRegions);
   for (std::size_t i = 0; i < workers.size(); ++i) {
     workers[i]->assign(&team, static_cast<i32>(i) + 1, fn, args);
   }
@@ -412,7 +412,7 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
     // pool traffic, no allocation. The binding plan is keyed by bind_sig,
     // so it carries over untouched and bind_member skips the setaffinity
     // syscall on every member (place unchanged).
-    metrics_add(Metric::kHotTeamHits);
+    ts.counters->add(Metric::kHotTeamHits);
     const SavedBinding saved = save(ts);
     Team& team = *hit->team;
     team.rearm(child_icv, parent_level + 1,
@@ -435,7 +435,7 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
   // retry replaces the undersized entry it hit; a miss takes an empty slot,
   // then the least recently used. Entries differing only in binding
   // signature are distinct shapes, so alternating proc_binds keep both hot.
-  metrics_add(Metric::kHotTeamRebuilds);
+  ts.counters->add(Metric::kHotTeamRebuilds);
   HotSlot* victim = hit;
   if (cacheable) {
     if (victim == nullptr) {

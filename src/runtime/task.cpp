@@ -12,7 +12,6 @@ TaskPool::TaskPool(i32 members) {
     queues_.push_back(std::make_unique<WorkStealingDeque>());
     mailboxes_.push_back(std::make_unique<Mailbox>());
   }
-  stats_.resize(static_cast<std::size_t>(members));
 }
 
 TaskPool::~TaskPool() {
@@ -33,19 +32,6 @@ void TaskPool::set_victim_order(std::vector<i32> order) {
   ZOMP_CHECK(order.empty() || order.size() == n * (n - 1),
              "victim-order table must be n x (n-1) or empty");
   victim_order_ = std::move(order);
-}
-
-StealStats TaskPool::stats_total() const {
-  StealStats total;
-  for (const StealStats& s : stats_) {
-    total.steal_attempts += s.steal_attempts;
-    total.steal_lost += s.steal_lost;
-    total.mailbox_pulls += s.mailbox_pulls;
-    total.tasks_executed += s.tasks_executed;
-    total.dispatch_claims += s.dispatch_claims;
-    total.barrier_episodes += s.barrier_episodes;
-  }
-  return total;
 }
 
 std::unique_ptr<Task> TaskPool::push(i32 tid, std::unique_ptr<Task> task) {
@@ -96,10 +82,9 @@ Task* TaskPool::mailbox_pop(i32 member) {
   return task;
 }
 
-std::unique_ptr<Task> TaskPool::take(i32 tid) {
+std::unique_ptr<Task> TaskPool::take(i32 tid, Counters& counters) {
   const auto n = static_cast<i32>(queues_.size());
   ZOMP_CHECK(tid >= 0 && tid < n, "task take from non-member thread");
-  StealStats& stats = stats_[static_cast<std::size_t>(tid)];
   // Own deque first, LIFO for locality.
   if (Task* task = queues_[static_cast<std::size_t>(tid)]->pop()) {
     queued_.fetch_sub(1, std::memory_order_acq_rel);
@@ -108,8 +93,7 @@ std::unique_ptr<Task> TaskPool::take(i32 tid) {
   // Own mailbox next: tasks another member aimed specifically at us (the
   // place-aware taskloop spray) beat a cross-place steal.
   if (Task* task = mailbox_pop(tid)) {
-    ++stats.mailbox_pulls;
-    metrics_add(Metric::kMailboxPulls);
+    counters.add(Metric::kMailboxPulls);
     queued_.fetch_sub(1, std::memory_order_acq_rel);
     return std::unique_ptr<Task>(task);
   }
@@ -144,24 +128,19 @@ std::unique_ptr<Task> TaskPool::take(i32 tid) {
     }
     WorkStealingDeque& q = *queues_[static_cast<std::size_t>(victim)];
     if (!q.maybe_empty()) {
-      ++stats.steal_attempts;
-      metrics_add(Metric::kStealAttempts);
+      counters.add(Metric::kStealAttempts);
       trace_emit(TraceEv::kStealAttempt, victim);
       bool lost = false;
       if (Task* task = q.steal(&lost)) {
-        metrics_add(Metric::kTasksStolen);
+        counters.add(Metric::kTasksStolen);
         trace_emit(TraceEv::kStealSuccess, victim);
         queued_.fetch_sub(1, std::memory_order_acq_rel);
         return std::unique_ptr<Task>(task);
       }
-      if (lost) {
-        ++stats.steal_lost;
-        metrics_add(Metric::kStealLost);
-      }
+      if (lost) counters.add(Metric::kStealLost);
     }
     if (Task* task = mailbox_pop(victim)) {
-      ++stats.mailbox_pulls;
-      metrics_add(Metric::kMailboxPulls);
+      counters.add(Metric::kMailboxPulls);
       queued_.fetch_sub(1, std::memory_order_acq_rel);
       return std::unique_ptr<Task>(task);
     }

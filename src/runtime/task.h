@@ -33,6 +33,7 @@
 
 namespace zomp::rt {
 
+class Counters;
 struct Task;
 
 struct TaskGroup {
@@ -254,21 +255,6 @@ class WorkStealingDeque {
   std::array<std::atomic<Task*>, kCapacity> slots_{};
 };
 
-/// Per-member steal-path telemetry (DESIGN.md S1.9). Each member writes only
-/// its own (cache-line-padded) entry from inside take(); readers aggregate
-/// after the region joined — the member check-out/acquire pair orders the
-/// plain writes — so the counters need no atomics on the hot path.
-struct alignas(kCacheLine) StealStats {
-  u64 steal_attempts = 0;  ///< CAS-bearing steal() calls on victims' deques
-  u64 steal_lost = 0;      ///< those that lost the top CAS race (convoying)
-  u64 mailbox_pulls = 0;   ///< tasks taken from any member's mailbox
-  // Broader scheduling telemetry (DESIGN.md S12), same write discipline;
-  // these back zomp::team_stats(). team.cpp bumps them via member_stats().
-  u64 tasks_executed = 0;    ///< explicit task bodies this member ran
-  u64 dispatch_claims = 0;   ///< dispatch_next chunks this member claimed
-  u64 barrier_episodes = 0;  ///< barrier episodes this member entered
-};
-
 /// Per-team task queues: one work-stealing deque per member, plus one
 /// mutex-guarded *mailbox* per member for tasks another member aims at it
 /// (the Chase–Lev deque is owner-push-only, so cross-member placement —
@@ -305,8 +291,9 @@ class TaskPool {
   /// from siblings — nearest-first per the installed victim order, or a
   /// per-member staggered ring when there is none. Returns nullptr if no
   /// task is available right now; see maybe_empty() for why callers must
-  /// re-check queued() before treating that as "pool dry".
-  std::unique_ptr<Task> take(i32 tid);
+  /// re-check queued() before treating that as "pool dry". Steal and
+  /// mailbox traffic is counted on `counters`, the calling thread's block.
+  std::unique_ptr<Task> take(i32 tid, Counters& counters);
 
   /// Installs the hierarchical steal-victim order: row `tid` holds member
   /// tid's n-1 victims, nearest first (flattened n x (n-1)). Built by the
@@ -315,14 +302,6 @@ class TaskPool {
   /// the staggered flat ring.
   void set_victim_order(std::vector<i32> order);
   const std::vector<i32>& victim_order() const { return victim_order_; }
-
-  /// Sums every member's steal telemetry. Quiescent-read only (after a
-  /// join/barrier): the per-member entries are plain fields.
-  StealStats stats_total() const;
-
-  /// Member `tid`'s own telemetry entry. Owner-write only — the executor
-  /// and dispatch paths in team.cpp bump counters take() doesn't see.
-  StealStats& member_stats(i32 tid) { return stats_[static_cast<size_t>(tid)]; }
 
   /// Tasks queued but not yet finished executing (includes tasks currently
   /// running a body). Gates the barrier's drain: zero means every published
@@ -362,7 +341,6 @@ class TaskPool {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   /// Flattened n x (n-1) victim-order table; empty = staggered flat ring.
   std::vector<i32> victim_order_;
-  std::vector<StealStats> stats_;
   alignas(kCacheLine) std::atomic<i64> outstanding_{0};
   alignas(kCacheLine) std::atomic<i64> queued_{0};
 };

@@ -26,7 +26,7 @@ namespace {
 
 thread_local ThreadState* tls_state = nullptr;
 
-/// Steady-clock nanoseconds for the barrier wait-time metric. Only read
+/// Steady-clock nanoseconds for the barrier wait-time counter. Only read
 /// when ZOMP_METRICS is on, so the vdso call stays off the default path.
 u64 monotonic_ns() {
   return static_cast<u64>(
@@ -390,18 +390,15 @@ bool Team::barrier_wait(i32 tid) {
   if (cancel_request_.load(std::memory_order_seq_cst) & kCancelParallel) {
     return true;
   }
-  trace_emit(TraceEv::kBarrierEnter, kBarrierKindUser);
-  ++tasks_.member_stats(tid).barrier_episodes;
-  u64 wait_t0 = 0;
-  if (metrics_enabled()) {
-    metrics_add(Metric::kBarrierEpisodes);
-    wait_t0 = monotonic_ns();
-  }
+  trace_emit(TraceEv::kBarrierEnter, kBarrierUser);
+  Counters& counts = *member(tid).counters;
+  counts.add(Metric::kBarrierEpisodes);
+  const u64 wait_t0 = metrics_enabled() ? monotonic_ns() : 0;
   const bool abandoned = barrier_wait_body(tid);
   if (wait_t0 != 0) {
-    metrics_add(Metric::kBarrierWaitNs, monotonic_ns() - wait_t0);
+    counts.add(Metric::kBarrierWaitNs, monotonic_ns() - wait_t0);
   }
-  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindUser, abandoned ? 1 : 0);
+  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierUser, abandoned ? 1 : 0);
   return abandoned;
 }
 
@@ -501,18 +498,15 @@ bool Team::barrier_wait_body(i32 tid) {
 }
 
 void Team::join_barrier_wait(i32 tid) {
-  trace_emit(TraceEv::kBarrierEnter, kBarrierKindJoin);
-  ++tasks_.member_stats(tid).barrier_episodes;
-  u64 wait_t0 = 0;
-  if (metrics_enabled()) {
-    metrics_add(Metric::kBarrierEpisodes);
-    wait_t0 = monotonic_ns();
-  }
+  trace_emit(TraceEv::kBarrierEnter, kBarrierJoin);
+  Counters& counts = *member(tid).counters;
+  counts.add(Metric::kBarrierEpisodes);
+  const u64 wait_t0 = metrics_enabled() ? monotonic_ns() : 0;
   join_barrier_wait_body(tid);
   if (wait_t0 != 0) {
-    metrics_add(Metric::kBarrierWaitNs, monotonic_ns() - wait_t0);
+    counts.add(Metric::kBarrierWaitNs, monotonic_ns() - wait_t0);
   }
-  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindJoin);
+  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierJoin);
 }
 
 void Team::join_barrier_wait_body(i32 tid) {
@@ -582,7 +576,6 @@ void Team::join_barrier_wait_body(i32 tid) {
 }
 
 bool Team::cancel_activate(ThreadState& ts, i32 construct) {
-  (void)ts;
   // cancel-var gates everything: when OMP_CANCELLATION is unset the whole
   // subsystem is a no-op and generated cancellation checks cost one relaxed
   // load. Read at use (not cached at construction) so hot-cached teams obey
@@ -590,7 +583,7 @@ bool Team::cancel_activate(ThreadState& ts, i32 construct) {
   if (!GlobalIcv::instance().cancellation()) return false;
   cancel_request_.fetch_or(construct, std::memory_order_seq_cst);
   trace_emit(TraceEv::kCancel, construct);
-  metrics_add(Metric::kCancellations);
+  ts.counters->add(Metric::kCancellations);
   // Parallel cancel must unpark barrier waiters so they can abandon their
   // episode; the park predicate re-checks the flag under the gate's lock.
   if (construct & kCancelParallel) bar_gate_.wake_all();
@@ -715,12 +708,11 @@ bool Team::dispatch_next(ThreadState& ts, i64* plo, i64* phi, bool* plast) {
       (cancel_request_.load(std::memory_order_acquire) &
        (kCancelLoop | kCancelParallel)) != 0;
   bool last = false;
-  if (!cancelled &&
-      dispatch_next_chunk(*slot, ts.dispatch, ts.tid, plo, phi, &last)) {
+  if (!cancelled && dispatch_next_chunk(*slot, ts.dispatch, *ts.counters,
+                                        plo, phi, &last)) {
     ts.dispatch.last_chunk = last;
     if (plast != nullptr) *plast = last;
     trace_emit(TraceEv::kDispatchClaim, *plo, *phi);
-    ++tasks_.member_stats(ts.tid).dispatch_claims;
     return true;
   }
   // Exhausted for this member: detach; the last member to detach frees the
@@ -820,8 +812,7 @@ void Team::run_task_inline(ThreadState& ts, std::function<void()>& body,
   }
   ts.current_task = saved;
   trace_emit(TraceEv::kTaskComplete);
-  ++tasks_.member_stats(ts.tid).tasks_executed;
-  metrics_add(Metric::kTasksExecuted);
+  ts.counters->add(Metric::kTasksExecuted);
 }
 
 void Team::enqueue_task(ThreadState& ts, std::unique_ptr<Task> task) {
@@ -1018,8 +1009,7 @@ void Team::execute_task(ThreadState& ts, std::unique_ptr<Task> task,
   }
   ts.current_task = saved;
   trace_emit(TraceEv::kTaskComplete, discarded ? 1 : 0);
-  ++tasks_.member_stats(ts.tid).tasks_executed;
-  metrics_add(Metric::kTasksExecuted);
+  ts.counters->add(Metric::kTasksExecuted);
   // Release dependent successors BEFORE this task's own counters drop: a
   // released successor enters `outstanding` (enqueue_task -> push) first, so
   // the join barrier's drain count never reads zero with a releasable task
@@ -1040,7 +1030,7 @@ bool Team::run_one_task(ThreadState& ts) {
   // the authoritative counters — outstanding(), queued(), children,
   // group.active — re-read each round, and uses false only to pace its
   // backoff. Audited for ISSUE 6; keep it that way when adding loops.
-  auto task = tasks_.take(ts.tid);
+  auto task = tasks_.take(ts.tid, *ts.counters);
   if (!task) return false;
   execute_task(ts, std::move(task));
   return true;

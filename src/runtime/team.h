@@ -14,6 +14,7 @@
 #include "runtime/barrier.h"
 #include "runtime/common.h"
 #include "runtime/icv.h"
+#include "runtime/metrics.h"
 #include "runtime/places.h"
 #include "runtime/reduce.h"
 #include "runtime/task.h"
@@ -72,6 +73,10 @@ struct ThreadState {
   TaskContext* current_task = nullptr;
 
   Worker* worker = nullptr;  ///< pool worker backing this state, if any
+
+  /// This thread's counter block (metrics.h): the thread that runs as this
+  /// state is its only writer. Never freed, so its counts outlive the state.
+  Counters* const counters = counters_register();
 
   // -- Affinity (DESIGN.md S1.8) --------------------------------------------
   /// Place (index into the process PlaceTable) this thread is logically

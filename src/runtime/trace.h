@@ -1,7 +1,7 @@
 // OMPT-style tool interface + per-thread trace event rings (DESIGN.md S12).
 //
 // Two consumers share one set of hook sites threaded through the runtime
-// (pool/team/worksharing/task/barrier/fault):
+// (pool/team/worksharing/task/fault):
 //
 //   * A tool registered through the zomp_start_tool / zomp_set_callback C ABI
 //     (abi.h) receives events synchronously, OMPT-5.2 style.
@@ -14,10 +14,10 @@
 // site is ONE relaxed atomic load when neither consumer is active. The slow
 // path — ring append and/or callback dispatch — is out of line.
 //
-// Ring discipline (the StealStats model, task.h): each ring has exactly one
-// writer (the owning thread), which stores records with plain writes and
-// publishes them with a release store of the count; drains acquire the count
-// and read only the published prefix. Records are never overwritten — a full
+// Ring discipline (single writer, like the Counters blocks in metrics.h):
+// each ring has exactly one writer (the owning thread), which stores records
+// with plain writes and publishes them with a release store of the count;
+// drains acquire the count and read only the published prefix. Records are never overwritten — a full
 // ring counts drops instead (deterministic: the FIRST kRingCapacity events
 // survive) — so a concurrent drain is race-free even mid-region; it merely
 // misses records still in flight.
@@ -53,10 +53,8 @@ enum class TraceEv : i32 {
 
 /// arg0 of kBarrierEnter/kBarrierWaitEnd: which barrier flavour.
 enum : i64 {
-  kBarrierKindUser = 0,     ///< Team::barrier_wait (explicit/implicit barrier)
-  kBarrierKindJoin = 1,     ///< Team::join_barrier_wait (region end)
-  kBarrierKindCentral = 2,  ///< standalone CentralBarrier (barrier.cpp)
-  kBarrierKindTree = 3,     ///< standalone TreeBarrier (barrier.cpp)
+  kBarrierUser = 0,  ///< Team::barrier_wait (explicit/implicit barrier)
+  kBarrierJoin = 1,  ///< Team::join_barrier_wait (region end)
 };
 
 namespace trace_detail {

@@ -153,8 +153,8 @@ bool serve_trips(const DispatchSlot& slot, i64 begin, i64 end, i64* plo,
 /// a single private chunk. One remote RMW per slab instead of per chunk;
 /// exactly-once falls out of the shared-cursor argument (immutable bounds,
 /// every sub-`hi` claim owns its window, overshoot past `hi` owns nothing).
-bool steal_slab(DispatchSlot& slot, i32 my_shard, i64 chunk, i64* plo,
-                i64* phi, bool* plast) {
+bool steal_slab(DispatchSlot& slot, i32 my_shard, i64 chunk,
+                Counters& counters, i64* plo, i64* phi, bool* plast) {
   for (i32 k = 1; k < slot.nshards; ++k) {
     ShardCursor& v = slot.shards[(my_shard + k) % slot.nshards];
     const i64 seen = v.next.load(std::memory_order_relaxed);
@@ -163,7 +163,7 @@ bool steal_slab(DispatchSlot& slot, i32 my_shard, i64 chunk, i64* plo,
     const i64 take = std::max<i64>(1, remaining_chunks / 2) * chunk;
     const i64 claimed = v.next.fetch_add(take, std::memory_order_relaxed);
     if (claimed >= v.hi) continue;  // drained between the read and the add
-    metrics_note_shard_claim((my_shard + k) % slot.nshards);
+    counters.note_shard_claim((my_shard + k) % slot.nshards);
     return serve_trips(slot, claimed, std::min(claimed + take, v.hi), plo,
                        phi, plast);
   }
@@ -172,8 +172,8 @@ bool steal_slab(DispatchSlot& slot, i32 my_shard, i64 chunk, i64* plo,
 
 }  // namespace
 
-bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md, i32 tid,
-                         i64* plo, i64* phi, bool* plast) {
+bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md,
+                         Counters& counters, i64* plo, i64* phi, bool* plast) {
   switch (slot.kind) {
     case ScheduleKind::kStatic:
     case ScheduleKind::kAuto: {
@@ -181,7 +181,7 @@ bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md, i32 tid,
       // Blocks partition the iteration space, so exactly the block that ends
       // at slot.hi contains the sequentially-last iteration.
       if (md.static_span <= 0 || md.static_next >= slot.hi) return false;
-      metrics_note_shard_claim(0);  // static kinds run on the flat shard
+      counters.note_shard_claim(0);  // static kinds run on the flat shard
       *plo = md.static_next;
       *phi = md.static_hi;
       *plast = *phi >= slot.hi;
@@ -214,7 +214,7 @@ bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md, i32 tid,
         const i64 claimed =
             own.next.fetch_add(batch * chunk, std::memory_order_relaxed);
         if (claimed < own.hi) {
-          metrics_note_shard_claim(my_shard);
+          counters.note_shard_claim(my_shard);
           return serve_trips(slot, claimed,
                              std::min(claimed + batch * chunk, own.hi), plo,
                              phi, plast);
@@ -222,7 +222,7 @@ bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md, i32 tid,
       }
       // Own slab dry (a stale-high pre-read can only happen when it truly
       // is: `next` is monotone, so stale `seen` <= current next).
-      return steal_slab(slot, my_shard, chunk, plo, phi, plast);
+      return steal_slab(slot, my_shard, chunk, counters, plo, phi, plast);
     }
     case ScheduleKind::kGuided: {
       // Guided shares the fetch_add cursor protocol: the chunk size is
@@ -241,17 +241,17 @@ bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md, i32 tid,
         const i64 claimed =
             own.next.fetch_add(size, std::memory_order_relaxed);
         if (claimed < own.hi) {
-          metrics_note_shard_claim(my_shard);
+          counters.note_shard_claim(my_shard);
           return serve_trips(slot, claimed, std::min(claimed + size, own.hi),
                              plo, phi, plast);
         }
       }
-      return steal_slab(slot, my_shard, min_chunk, plo, phi, plast);
+      return steal_slab(slot, my_shard, min_chunk, counters, plo, phi,
+                        plast);
     }
     case ScheduleKind::kRuntime:
       ZOMP_CHECK(false, "runtime schedule must be resolved before dispatch");
   }
-  (void)tid;
   return false;
 }
 

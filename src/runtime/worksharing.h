@@ -26,6 +26,8 @@
 
 namespace zomp::rt {
 
+class Counters;
+
 /// Result of the static distribution for one thread.
 struct StaticRange {
   i64 lo = 0;      ///< first iteration of this thread's first block
@@ -131,9 +133,10 @@ struct MemberDispatch {
 /// Claims the next chunk from `slot` for member `md`. Returns false when the
 /// construct is exhausted for this member. On success [*plo, *phi) is the
 /// chunk in the original iteration space and *plast tells whether it contains
-/// the sequentially-last iteration (for `lastprivate`).
-bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md, i32 tid,
-                         i64* plo, i64* phi, bool* plast);
+/// the sequentially-last iteration (for `lastprivate`). The claim is counted
+/// in the serving shard's lane of `counters`, the calling thread's block.
+bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md,
+                         Counters& counters, i64* plo, i64* phi, bool* plast);
 
 /// Fills the per-member cursor for static kinds served through dispatch.
 void dispatch_init_static_cursor(const DispatchSlot& slot, MemberDispatch& md,

@@ -11,6 +11,7 @@
 
 #include "core/pipeline.h"
 #include "interp/interp.h"
+#include "runtime/icv.h"
 
 namespace zomp::interp {
 namespace {
@@ -629,6 +630,22 @@ pub fn main() void { @print(host_add(20, 22)); }
   });
   ASSERT_TRUE(interp.run_main());
   EXPECT_EQ(out.str(), "42\n");
+}
+
+TEST(InterpHostFnTest, GetCancellationFollowsTheIcv) {
+  // The runtime-query host fns are pre-registered; this one was exported by
+  // the ABI but missing from the interpreter's table.
+  const std::string source = R"(
+extern fn mz_omp_get_cancellation() i64;
+pub fn main() void { @print(mz_omp_get_cancellation()); }
+)";
+  rt::GlobalIcv& icv = rt::GlobalIcv::instance();
+  const bool saved = icv.cancellation();
+  icv.set_cancellation(true);
+  expect_output(source, "1\n");
+  icv.set_cancellation(false);
+  expect_output(source, "0\n");
+  icv.set_cancellation(saved);
 }
 
 TEST(InterpApiTest, CallByNameReturnsValue) {

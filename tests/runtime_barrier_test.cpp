@@ -1,5 +1,6 @@
-// Barrier algorithm tests: central and tree barriers must order rounds
-// correctly for any member count, including oversubscribed teams.
+// PhaseSync tests: per-member phase publication, payload visibility,
+// whole-team phase waits, and cancel-word abandonment. The team barrier's
+// round-ordering sweep lives in runtime_team_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,80 +12,6 @@
 
 namespace zomp::rt {
 namespace {
-
-struct BarrierCase {
-  BarrierKind kind;
-  i32 members;
-  int rounds;
-};
-
-class BarrierTest : public ::testing::TestWithParam<BarrierCase> {};
-
-TEST_P(BarrierTest, NoMemberEntersRoundKPlusOneBeforeAllFinishRoundK) {
-  const BarrierCase& c = GetParam();
-  auto barrier = Barrier::create(c.kind, c.members);
-  ASSERT_NE(barrier, nullptr);
-  EXPECT_EQ(barrier->size(), c.members);
-
-  // Each member increments the round counter before the barrier; after the
-  // barrier every member must observe counter == members * (round+1).
-  std::atomic<int> counter{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(c.members));
-  for (i32 tid = 0; tid < c.members; ++tid) {
-    threads.emplace_back([&, tid] {
-      for (int round = 0; round < c.rounds; ++round) {
-        counter.fetch_add(1, std::memory_order_acq_rel);
-        barrier->wait(tid);
-        const int seen = counter.load(std::memory_order_acquire);
-        if (seen < c.members * (round + 1)) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-        barrier->wait(tid);  // second barrier separates the read from round+1
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(counter.load(), c.members * c.rounds);
-}
-
-std::vector<BarrierCase> barrier_cases() {
-  std::vector<BarrierCase> cases;
-  for (const auto kind : {BarrierKind::kCentral, BarrierKind::kTree}) {
-    // Member counts beyond hardware concurrency (2 on CI) exercise the
-    // spin-then-yield path.
-    for (const i32 members : {1, 2, 3, 4, 5, 8, 13}) {
-      cases.push_back(BarrierCase{kind, members, 50});
-    }
-  }
-  return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, BarrierTest,
-                         ::testing::ValuesIn(barrier_cases()));
-
-TEST(BarrierTest, SingleMemberNeverBlocks) {
-  for (const auto kind : {BarrierKind::kCentral, BarrierKind::kTree}) {
-    auto barrier = Barrier::create(kind, 1);
-    for (int i = 0; i < 1000; ++i) barrier->wait(0);
-    SUCCEED();
-  }
-}
-
-TEST(BarrierTest, TreeFaninMatchesArity) {
-  // Structural smoke: a 17-member tree barrier must still round-trip.
-  auto barrier = Barrier::create(BarrierKind::kTree, 17);
-  std::vector<std::thread> threads;
-  for (i32 tid = 0; tid < 17; ++tid) {
-    threads.emplace_back([&, tid] {
-      for (int r = 0; r < 20; ++r) barrier->wait(tid);
-    });
-  }
-  for (auto& t : threads) t.join();
-  SUCCEED();
-}
 
 // -- PhaseSync (DESIGN.md S11.2) ---------------------------------------------
 

@@ -289,13 +289,16 @@ TEST(TaskPoolTest, StealingFindsWorkAcrossQueues) {
       << "push below capacity must not reject";
   EXPECT_EQ(pool.outstanding(), 1);
   // A different member steals it.
-  auto stolen = pool.take(/*tid=*/3);
+  rt::Counters counters;
+  auto stolen = pool.take(/*tid=*/3, counters);
   ASSERT_NE(stolen, nullptr);
   stolen->body();
   pool.mark_finished();
   EXPECT_EQ(executed, 1);
   EXPECT_EQ(pool.outstanding(), 0);
-  EXPECT_EQ(pool.take(1), nullptr);
+  EXPECT_EQ(pool.take(1, counters), nullptr);
+  EXPECT_EQ(counters.value(rt::Metric::kTasksStolen), 1u);
+  EXPECT_EQ(counters.value(rt::Metric::kStealAttempts), 1u);
 }
 
 }  // namespace

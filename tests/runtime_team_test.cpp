@@ -445,5 +445,38 @@ TEST(BarrierApiTest, BarrierSeparatesPhases) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+class BarrierRoundTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BarrierRoundTest, NoMemberEntersRoundKPlusOneBeforeAllFinishRoundK) {
+  // Each member counts its arrival before the team barrier; after it, every
+  // member must see members * (round + 1) arrivals. The second barrier keeps
+  // the read apart from the next round's arrivals. Member counts past the
+  // host's cores exercise the spin-then-yield and park paths.
+  constexpr int kRounds = 50;
+  std::atomic<int> counter{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> members{0};
+  parallel(
+      [&] {
+        const int n = num_threads();
+        if (thread_num() == 0) members.store(n);
+        for (int round = 0; round < kRounds; ++round) {
+          counter.fetch_add(1, std::memory_order_acq_rel);
+          barrier();
+          if (counter.load(std::memory_order_acquire) != n * (round + 1)) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+          barrier();
+        }
+      },
+      ParallelOptions{GetParam(), true});
+  EXPECT_EQ(members.load(), GetParam());
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(counter.load(), members.load() * kRounds);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BarrierRoundTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 8, 13));
+
 }  // namespace
 }  // namespace zomp

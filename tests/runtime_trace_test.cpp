@@ -1,12 +1,14 @@
 // S12 observability tests: the OMPT-style tool callback interface, the
-// per-thread trace rings + Chrome-JSON serialization, the metrics registry,
-// and the team_stats surfaces (C++, C ABI, MiniZig host fn).
+// per-thread trace rings + Chrome-JSON serialization, the per-thread
+// counters and metrics report, and the team_stats surfaces (C++, C ABI,
+// MiniZig host fn).
 //
-// Global-state hygiene: every fixture resets the tracer/metrics state it
-// touches, and callback tests unregister every event in TearDown, so suites
-// compose in one binary regardless of order.
+// Global-state hygiene: every fixture resets the tracer state it touches,
+// counter tests read deltas, and callback tests unregister every event in
+// TearDown, so suites compose in one binary regardless of order.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -431,50 +433,71 @@ pub fn main() void {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics registry
+// Per-thread counters and the metrics report. Counts are process-lifetime
+// and never reset, so every test reads before/after deltas.
 // ---------------------------------------------------------------------------
+
+using MetricArray = std::array<rt::u64, static_cast<std::size_t>(rt::Metric::kCount)>;
+
+MetricArray metric_values() {
+  MetricArray out{};
+  for (rt::i32 m = 0; m < static_cast<rt::i32>(rt::Metric::kCount); ++m) {
+    out[static_cast<std::size_t>(m)] =
+        rt::metrics_value(static_cast<rt::Metric>(m));
+  }
+  return out;
+}
+
+rt::u64 delta(const MetricArray& before, const MetricArray& after,
+              rt::Metric m) {
+  return after[static_cast<std::size_t>(m)] -
+         before[static_cast<std::size_t>(m)];
+}
+
+rt::u64 shard_lane_sum() {
+  rt::u64 sum = 0;
+  for (rt::i32 s = 0; s < rt::kMetricsMaxShards; ++s) {
+    sum += rt::metrics_shard_claims(s);
+  }
+  return sum;
+}
+
+/// A dynamic loop, 16 tasks from a single, and an explicit barrier.
+void counted_workload() {
+  for_each(0, 256, [](rt::i64) {},
+           ForOptions{{rt::ScheduleKind::kDynamic, 4}, false});
+  single([] {
+    for (int i = 0; i < 16; ++i) task([] {});
+  });
+  barrier();
+}
 
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    rt::metrics_reset_for_test();
-    rt::metrics_set_enabled_for_test(true);
-  }
-  void TearDown() override {
-    rt::metrics_set_enabled_for_test(false);
-    rt::metrics_reset_for_test();
-  }
+  void SetUp() override { rt::metrics_set_enabled_for_test(true); }
+  void TearDown() override { rt::metrics_set_enabled_for_test(false); }
 };
 
 TEST_F(MetricsTest, RegionWorkloadsFeedTheCounters) {
-  parallel(
-      [] {
-        for_each(0, 256, [](rt::i64) {},
-                 ForOptions{{rt::ScheduleKind::kDynamic, 4}, false});
-        single([] {
-          for (int i = 0; i < 16; ++i) task([] {});
-        });
-        barrier();
-      },
-      ParallelOptions{4, true});
+  const MetricArray before = metric_values();
+  const rt::u64 lanes_before = shard_lane_sum();
+  parallel([] { counted_workload(); }, ParallelOptions{4, true});
+  const MetricArray after = metric_values();
 
-  EXPECT_GE(rt::metrics_value(rt::Metric::kParallelRegions), 1u);
-  EXPECT_GE(rt::metrics_value(rt::Metric::kBarrierEpisodes), 4u);
-  EXPECT_GE(rt::metrics_value(rt::Metric::kDispatchClaims), 1u);
-  EXPECT_GE(rt::metrics_value(rt::Metric::kTasksExecuted), 16u);
-  EXPECT_GE(rt::metrics_value(rt::Metric::kHotTeamHits) +
-                rt::metrics_value(rt::Metric::kHotTeamRebuilds),
+  EXPECT_EQ(delta(before, after, rt::Metric::kParallelRegions), 1u);
+  EXPECT_GE(delta(before, after, rt::Metric::kBarrierEpisodes), 4u);
+  EXPECT_GE(delta(before, after, rt::Metric::kDispatchClaims), 1u);
+  EXPECT_EQ(delta(before, after, rt::Metric::kTasksExecuted), 16u);
+  EXPECT_EQ(delta(before, after, rt::Metric::kHotTeamHits) +
+                delta(before, after, rt::Metric::kHotTeamRebuilds),
             1u);
-
   // Every dispatch claim lands in exactly one shard lane.
-  rt::u64 shard_sum = 0;
-  for (rt::i32 s = 0; s < rt::kMetricsMaxShards; ++s) {
-    shard_sum += rt::metrics_shard_claims(s);
-  }
-  EXPECT_EQ(shard_sum, rt::metrics_value(rt::Metric::kDispatchClaims));
+  EXPECT_EQ(shard_lane_sum() - lanes_before,
+            delta(before, after, rt::Metric::kDispatchClaims));
 }
 
 TEST_F(MetricsTest, BarrierWaitTimeAccumulates) {
+  const rt::u64 before = rt::metrics_value(rt::Metric::kBarrierWaitNs);
   parallel(
       [] {
         // Skew arrival so someone measurably waits.
@@ -486,7 +509,7 @@ TEST_F(MetricsTest, BarrierWaitTimeAccumulates) {
         barrier();
       },
       ParallelOptions{4, true});
-  EXPECT_GT(rt::metrics_value(rt::Metric::kBarrierWaitNs), 0u);
+  EXPECT_GT(rt::metrics_value(rt::Metric::kBarrierWaitNs), before);
 }
 
 TEST_F(MetricsTest, ReportIsFencedAndListsEveryCounter) {
@@ -504,17 +527,135 @@ TEST_F(MetricsTest, ReportIsFencedAndListsEveryCounter) {
   }
 }
 
-TEST_F(MetricsTest, DisabledModeCountsNothing) {
+TEST(CounterTest, MetricsOffStillCountsButReadsNoClock) {
   rt::metrics_set_enabled_for_test(false);
+  const MetricArray before = metric_values();
   parallel(
       [] {
         for_each(0, 64, [](rt::i64) {},
                  ForOptions{{rt::ScheduleKind::kDynamic, 4}, false});
       },
       ParallelOptions{2, true});
-  for (rt::i32 m = 0; m < static_cast<rt::i32>(rt::Metric::kCount); ++m) {
-    EXPECT_EQ(rt::metrics_value(static_cast<rt::Metric>(m)), 0u);
+  const MetricArray after = metric_values();
+  EXPECT_EQ(delta(before, after, rt::Metric::kParallelRegions), 1u);
+  EXPECT_GE(delta(before, after, rt::Metric::kBarrierEpisodes), 2u);
+  EXPECT_GE(delta(before, after, rt::Metric::kDispatchClaims), 1u);
+  EXPECT_EQ(delta(before, after, rt::Metric::kBarrierWaitNs), 0u);
+}
+
+TEST(CounterTest, TeamStatsDeltasEqualProcessDeltas) {
+  // Only this region's threads run, so the sum over its members' blocks and
+  // the sum over every block must move by the same amounts. The master
+  // reads both at points where every other member has left the barrier and
+  // holds still, so each snapshot is consistent.
+  struct Snapshot {
+    TeamStats team;
+    MetricArray process{};
+    rt::u64 lanes = 0;
+  };
+  Snapshot before;
+  Snapshot after;
+  std::atomic<int> parked{0};
+  std::atomic<int> released{0};
+  const auto quiet_read = [&](Snapshot& out, int round) {
+    barrier();
+    if (thread_num() != 0) {
+      parked.fetch_add(1, std::memory_order_acq_rel);
+      while (released.load(std::memory_order_acquire) < round) {
+        std::this_thread::yield();
+      }
+      return;
+    }
+    while (parked.load(std::memory_order_acquire) <
+           round * (num_threads() - 1)) {
+      std::this_thread::yield();
+    }
+    out.team = team_stats();
+    out.process = metric_values();
+    out.lanes = shard_lane_sum();
+    released.store(round, std::memory_order_release);
+  };
+  parallel(
+      [&] {
+        quiet_read(before, 1);
+        counted_workload();
+        quiet_read(after, 2);
+      },
+      ParallelOptions{4, true});
+
+  const auto process = [&](rt::Metric m) {
+    return static_cast<rt::i64>(delta(before.process, after.process, m));
+  };
+  const std::pair<rt::i64 TeamStats::*, rt::Metric> fields[] = {
+      {&TeamStats::steal_attempts, rt::Metric::kStealAttempts},
+      {&TeamStats::steal_lost, rt::Metric::kStealLost},
+      {&TeamStats::mailbox_pulls, rt::Metric::kMailboxPulls},
+      {&TeamStats::tasks_executed, rt::Metric::kTasksExecuted},
+      {&TeamStats::dispatch_claims, rt::Metric::kDispatchClaims},
+      {&TeamStats::barrier_episodes, rt::Metric::kBarrierEpisodes},
+  };
+  for (const auto& [field, metric] : fields) {
+    EXPECT_EQ(after.team.*field - before.team.*field, process(metric))
+        << "metric " << static_cast<int>(metric);
   }
+  EXPECT_EQ(process(rt::Metric::kTasksExecuted), 16);
+  EXPECT_GE(process(rt::Metric::kDispatchClaims), 1);
+  EXPECT_EQ(static_cast<rt::i64>(after.lanes - before.lanes),
+            process(rt::Metric::kDispatchClaims));
+}
+
+TEST(CounterTest, ExitedThreadCountsOutliveTheThread) {
+  const MetricArray before = metric_values();
+  std::thread user([] {
+    parallel(
+        [] {
+          for_each(0, 64, [](rt::i64) {},
+                   ForOptions{{rt::ScheduleKind::kDynamic, 1}, false});
+        },
+        ParallelOptions{2, true});
+  });
+  user.join();
+  const MetricArray after = metric_values();
+  // Only the exited thread forks, and its first fork cannot hit a cache.
+  EXPECT_EQ(delta(before, after, rt::Metric::kParallelRegions), 1u);
+  EXPECT_EQ(delta(before, after, rt::Metric::kHotTeamRebuilds), 1u);
+  EXPECT_GE(delta(before, after, rt::Metric::kDispatchClaims), 1u);
+}
+
+TEST(CounterTest, ReadersRaceRunningRegionsSafely) {
+  // Writers never RMW and readers only load, so reading every block while
+  // the owners count is race-free (this test is for TSan), and a process
+  // total never goes backwards.
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_reads{0};
+  std::thread reader([&] {
+    rt::u64 last_regions = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)team_stats();
+      const std::string report = rt::metrics_report();
+      const rt::u64 regions = rt::metrics_value(rt::Metric::kParallelRegions);
+      if (regions < last_regions ||
+          report.rfind("ZOMP METRICS REPORT BEGIN\n", 0) != 0) {
+        bad_reads.fetch_add(1, std::memory_order_relaxed);
+      }
+      last_regions = regions;
+    }
+  });
+  for (int i = 0; i < 100; ++i) {
+    parallel(
+        [] {
+          for_each(0, 128, [](rt::i64) {},
+                   ForOptions{{rt::ScheduleKind::kDynamic, 2}, true});
+          // Siblings may still be claiming: an in-region read of the
+          // member blocks overlaps their writes.
+          (void)team_stats();
+          counted_workload();
+        },
+        ParallelOptions{4, true});
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad_reads.load(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -533,10 +674,8 @@ TEST(TeamStatsTest, RegionWorkIsVisibleFromInsideTheRegion) {
           for (int i = 0; i < 8; ++i) task([] {});
         });
         barrier();
-        // Quiescent-read window: the barrier ordered all member counter
-        // writes before this point, and non-masters hold off on the join
-        // barrier (whose episode counts would race) until the master has
-        // read.
+        // Non-masters hold off on the join barrier until the master has
+        // read, so both surfaces see the same counts.
         if (rt::current_thread().tid == 0) {
           st = team_stats();
           zomp_team_stats(&abi_st);
