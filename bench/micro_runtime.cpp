@@ -1,18 +1,15 @@
 // Ablation A3: runtime-primitive microbenchmarks, EPCC-style (the authors'
 // institution publishes the classic OpenMP overhead suite; this is the zomp
 // equivalent). Measures the primitives the NPB kernels lean on: fork/join,
-// barrier algorithms (centralized vs tree), worksharing dispatch per
-// schedule, reduction, critical sections, locks, and task spawn/drain.
+// worksharing dispatch per schedule, reduction, critical sections, locks,
+// and task spawn/drain/steal. The team barrier is timed by the benchmark
+// suite's EPCC probe (bench/suite).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -21,247 +18,47 @@
 
 namespace {
 
-int bench_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 2 : static_cast<int>(hc);
-}
-
-// ---------------------------------------------------------------------------
-// Fork/join before/after (PR 3). The seed region-entry protocol — pool mutex
-// acquire/release, per-worker mutex+condvar mailbox wake, and a fresh
-// heap-allocated team object (barrier + dispatch ring + reduction-tree
-// stand-ins) per region — is kept here, bench-local, so the hot-team +
-// doorbell fast path of runtime/pool.{h,cpp} stays comparable on any machine
-// in a single run.
-// ---------------------------------------------------------------------------
-
-/// The retired per-region team object: reproduces the seed Team's
-/// allocations (member list, 8-slot dispatch ring, one reduction slot per
-/// member) and its epoch sense barrier + check-out join protocol.
-class SeedTeam {
- public:
-  explicit SeedTeam(int size)
-      : size_(size), dispatch_ring_(8), reduce_slots_(size) {
-    members_.reserve(static_cast<std::size_t>(size));
-  }
-
-  void barrier_wait() {
-    if (size_ == 1) return;
-    const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) == size_ - 1) {
-      arrived_.store(0, std::memory_order_relaxed);
-      epoch_.store(epoch + 1, std::memory_order_release);
-      return;
-    }
-    zomp::rt::Backoff backoff;
-    while (epoch_.load(std::memory_order_acquire) == epoch) backoff.pause();
-  }
-
-  void check_out() { checked_out_.fetch_add(1, std::memory_order_release); }
-  void wait_all_checked_out() {
-    zomp::rt::Backoff backoff;
-    while (checked_out_.load(std::memory_order_acquire) != size_ - 1) {
-      backoff.pause();
-    }
-  }
-
-  std::vector<int> members_;
-
- private:
-  struct alignas(zomp::rt::kCacheLine) RingSlot {
-    std::atomic<std::uint64_t> owner{0};
-  };
-  struct alignas(zomp::rt::kCacheLine) ReduceSlot {
-    std::atomic<std::uint64_t> token{0};
-  };
-  const int size_;
-  std::vector<RingSlot> dispatch_ring_;
-  std::vector<ReduceSlot> reduce_slots_;
-  alignas(zomp::rt::kCacheLine) std::atomic<int> arrived_{0};
-  alignas(zomp::rt::kCacheLine) std::atomic<std::uint64_t> epoch_{0};
-  alignas(zomp::rt::kCacheLine) std::atomic<int> checked_out_{0};
-};
-
-/// The retired worker mailbox: one mutex + condvar round-trip per wake.
-class SeedWorker {
- public:
-  SeedWorker() : thread_([this] { loop(); }) {}
-  ~SeedWorker() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    cv_.notify_one();
-    thread_.join();
-  }
-
-  void assign(SeedTeam* team, const std::function<void(int)>* body, int tid) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      job_ = Job{team, body, tid};
-    }
-    cv_.notify_one();
-  }
-
- private:
-  struct Job {
-    SeedTeam* team;
-    const std::function<void(int)>* body;
-    int tid;
-  };
-
-  void loop() {
-    for (;;) {
-      Job job{};
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return job_.has_value() || shutdown_; });
-        if (!job_.has_value()) return;
-        job = *job_;
-        job_.reset();
-      }
-      (*job.body)(job.tid);
-      job.team->barrier_wait();
-      job.team->check_out();
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::optional<Job> job_;
-  bool shutdown_ = false;
-  std::thread thread_;
-};
-
-/// The retired pool: a mutex-guarded idle vector, locked once to acquire
-/// and once to release per region.
-class SeedPool {
- public:
-  static SeedPool& instance() {
-    static SeedPool pool;
-    return pool;
-  }
-
-  std::vector<SeedWorker*> acquire(int want) {
-    std::vector<SeedWorker*> out;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    while (want > 0) {
-      if (idle_.empty()) {
-        all_.push_back(std::make_unique<SeedWorker>());
-        idle_.push_back(all_.back().get());
-      }
-      out.push_back(idle_.back());
-      idle_.pop_back();
-      --want;
-    }
-    return out;
-  }
-
-  void release(const std::vector<SeedWorker*>& workers) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (SeedWorker* w : workers) idle_.push_back(w);
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<SeedWorker>> all_;
-  std::vector<SeedWorker*> idle_;
-};
-
-/// One region through the full seed protocol.
-void seed_fork(int threads, const std::function<void(int)>& body) {
-  std::vector<SeedWorker*> workers =
-      threads > 1 ? SeedPool::instance().acquire(threads - 1)
-                  : std::vector<SeedWorker*>{};
-  auto team = std::make_unique<SeedTeam>(threads);  // fresh object per region
-  for (int t = 0; t < threads; ++t) team->members_.push_back(t);
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    workers[i]->assign(team.get(), &body, static_cast<int>(i) + 1);
-  }
-  body(0);
-  team->barrier_wait();
-  team->wait_all_checked_out();
-  SeedPool::instance().release(workers);
-}
-
 /// Pure region-entry cost, EPCC syncbench style: an (almost) empty body
-/// entered back-to-back. range(0): 0 = bench-local seed protocol (mutex/
-/// condvar mailbox + fresh team per region), 1 = hot-team + doorbell fast
-/// path. range(1): team size.
+/// entered back-to-back on the hot-team + doorbell fast path. range(0):
+/// team size.
 void BM_ForkJoin(benchmark::State& state) {
-  const bool hot = state.range(0) == 1;
-  const int threads = static_cast<int>(state.range(1));
+  const int threads = static_cast<int>(state.range(0));
   std::atomic<int> sink{0};
-  const std::function<void(int)> seed_body = [&](int /*tid*/) {
-    sink.fetch_add(1, std::memory_order_relaxed);
-  };
   for (auto _ : state) {
-    if (hot) {
-      zomp::parallel([&] { sink.fetch_add(1, std::memory_order_relaxed); },
-                     zomp::ParallelOptions{threads, true});
-    } else {
-      seed_fork(threads, seed_body);
-    }
+    zomp::parallel([&] { sink.fetch_add(1, std::memory_order_relaxed); },
+                   zomp::ParallelOptions{threads, true});
   }
   benchmark::DoNotOptimize(sink.load());
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(hot ? "hot-team" : "mutex-condvar-seed");
 }
 ZOMP_BENCHMARK(BM_ForkJoin)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 2})
-    ->Args({1, 2})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 8})
-    ->Args({1, 8})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(200);
 
 /// Tiny `parallel for reduction` regions, the NPB short-region shape the
 /// paper's overhead numbers hinge on: region entry + worksharing + one
 /// packed reduction rendezvous dominate, not the 256-iteration body.
-/// range(0): 0 = seed protocol (mutex/condvar fork, static slice by hand,
-/// mutex-combined reduction); 1 = the runtime path (hot team, tree
-/// rendezvous). range(1): team size.
+/// range(0): team size.
 void BM_ParallelForTiny(benchmark::State& state) {
-  const bool hot = state.range(0) == 1;
-  const int threads = static_cast<int>(state.range(1));
+  const int threads = static_cast<int>(state.range(0));
   constexpr std::int64_t n = 256;
   const double want = static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
-  std::mutex seed_combine_mutex;
   for (auto _ : state) {
-    double total = 0.0;
-    if (hot) {
-      total = zomp::parallel_reduce<double>(
-          0, n, 0.0, std::plus<>{},
-          [](std::int64_t i) { return static_cast<double>(i); },
-          zomp::ForOptions{}, zomp::ParallelOptions{threads, true});
-    } else {
-      const std::function<void(int)> body = [&](int tid) {
-        const std::int64_t chunk = (n + threads - 1) / threads;
-        const std::int64_t lo = tid * chunk;
-        const std::int64_t hi = std::min<std::int64_t>(n, lo + chunk);
-        double local = 0.0;
-        for (std::int64_t i = lo; i < hi; ++i) {
-          local += static_cast<double>(i);
-        }
-        const std::lock_guard<std::mutex> lock(seed_combine_mutex);
-        total += local;
-      };
-      seed_fork(threads, body);
-    }
+    const double total = zomp::parallel_reduce<double>(
+        0, n, 0.0, std::plus<>{},
+        [](std::int64_t i) { return static_cast<double>(i); },
+        zomp::ForOptions{}, zomp::ParallelOptions{threads, true});
     if (total != want) state.SkipWithError("bad reduction result");
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(hot ? "hot-team" : "mutex-condvar-seed");
 }
 ZOMP_BENCHMARK(BM_ParallelForTiny)
-    ->Args({0, 2})
-    ->Args({1, 2})
-    ->Args({0, 8})
-    ->Args({1, 8})
+    ->Arg(2)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(200);
 
@@ -350,43 +147,11 @@ void BM_Reduction(benchmark::State& state) {
 }
 ZOMP_BENCHMARK(BM_Reduction)->Unit(benchmark::kMicrosecond)->Iterations(100);
 
-// ---------------------------------------------------------------------------
-// Reduction-combine before/after. The seed protocol — one member initialises
-// a shared cell (single + barrier), every member combines into it under one
-// process-global named critical, and a final barrier publishes — is kept
-// here, bench-local, so the tree rendezvous of runtime/reduce.h stays
-// comparable on any machine in a single run.
-// ---------------------------------------------------------------------------
-
-/// The retired global-critical reduction protocol, reproduced bench-local.
-/// `parity` alternates per construct instance, reproducing the seed's
-/// double-buffered team cell (a fast member's next-round init must not
-/// clobber a value a slow member is still reading; the seed derived the
-/// parity from the member's single_seq).
-template <typename T, typename Combine, typename Body>
-T seed_critical_reduce(std::int64_t lo, std::int64_t hi, T identity,
-                       Combine&& combine, Body&& body, int parity) {
-  static T cells[2];  // stands in for the seed's fixed team storage
-  T& cell = cells[parity & 1];
-  zomp::single([&] { cell = identity; });  // includes the publish barrier
-  T local = identity;
-  zomp::for_each(
-      lo, hi, [&](std::int64_t i) { local = combine(local, body(i)); },
-      zomp::ForOptions{{zomp::rt::ScheduleKind::kStatic, 0}, /*nowait=*/true});
-  zomp::rt::critical_enter("__bench_seed_reduction");
-  cell = combine(cell, local);
-  zomp::rt::critical_exit("__bench_seed_reduction");
-  zomp::barrier();
-  return cell;
-}
-
-/// Back-to-back in-region reductions, combine-overhead dominated (the loop
-/// is tiny on purpose). range(0): 0 = seed critical protocol (3 barriers +
-/// global lock), 1 = tree rendezvous (one rendezvous, no lock).
-/// range(1): team size.
+/// Back-to-back in-region tree reductions, combine-overhead dominated (the
+/// loop is tiny on purpose): one rendezvous per round, no lock.
+/// range(0): team size.
 void BM_ReductionCombine(benchmark::State& state) {
-  const bool tree = state.range(0) == 1;
-  const int threads = static_cast<int>(state.range(1));
+  const int threads = static_cast<int>(state.range(0));
   constexpr std::int64_t n = 1 << 10;
   constexpr int kRounds = 32;
   const double want = static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
@@ -395,16 +160,9 @@ void BM_ReductionCombine(benchmark::State& state) {
     zomp::parallel(
         [&] {
           for (int r = 0; r < kRounds; ++r) {
-            double s;
-            if (tree) {
-              s = zomp::reduce_each(
-                  std::int64_t{0}, n, 0.0, std::plus<>{},
-                  [](std::int64_t i) { return static_cast<double>(i); });
-            } else {
-              s = seed_critical_reduce(
-                  0, n, 0.0, std::plus<>{},
-                  [](std::int64_t i) { return static_cast<double>(i); }, r);
-            }
+            const double s = zomp::reduce_each(
+                std::int64_t{0}, n, 0.0, std::plus<>{},
+                [](std::int64_t i) { return static_cast<double>(i); });
             if (zomp::thread_num() == 0) sink += s;
           }
         },
@@ -412,13 +170,10 @@ void BM_ReductionCombine(benchmark::State& state) {
     if (sink != want * kRounds) state.SkipWithError("bad reduction result");
   }
   state.SetItemsProcessed(state.iterations() * kRounds);
-  state.SetLabel(tree ? "tree-rendezvous" : "critical-seed");
 }
 ZOMP_BENCHMARK(BM_ReductionCombine)
-    ->Args({0, 2})
-    ->Args({1, 2})
-    ->Args({0, 8})
-    ->Args({1, 8})
+    ->Arg(2)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(50);
 
@@ -543,62 +298,6 @@ void BM_TaskSpawnDrain(benchmark::State& state) {
 }
 ZOMP_BENCHMARK(BM_TaskSpawnDrain)->Arg(64)->Arg(512)->Unit(benchmark::kMicrosecond)->Iterations(20);
 
-// ---------------------------------------------------------------------------
-// Scheduler-substrate before/after (PR 1). The seed's mutex-guarded task
-// deque and one-chunk-per-fetch_add dynamic cursor are kept here, bench-local,
-// so the speedup of the lock-free work-stealing deque and the batched shared
-// cursor stays measurable on any machine in a single run.
-// ---------------------------------------------------------------------------
-
-/// The seed TaskPool: one mutex-guarded std::deque per member.
-class MutexTaskPool {
- public:
-  explicit MutexTaskPool(int members) : queues_(members) {}
-
-  void push(int tid, std::unique_ptr<zomp::rt::Task> task) {
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    MemberQueue& q = queues_[static_cast<std::size_t>(tid)];
-    const std::lock_guard<std::mutex> lock(q.mutex);
-    q.deque.push_back(std::move(task));
-  }
-
-  std::unique_ptr<zomp::rt::Task> take(int tid) {
-    const int n = static_cast<int>(queues_.size());
-    {
-      MemberQueue& q = queues_[static_cast<std::size_t>(tid)];
-      const std::lock_guard<std::mutex> lock(q.mutex);
-      if (!q.deque.empty()) {
-        auto task = std::move(q.deque.back());
-        q.deque.pop_back();
-        return task;
-      }
-    }
-    for (int k = 1; k < n; ++k) {
-      MemberQueue& q = queues_[static_cast<std::size_t>((tid + k) % n)];
-      const std::lock_guard<std::mutex> lock(q.mutex);
-      if (!q.deque.empty()) {
-        auto task = std::move(q.deque.front());
-        q.deque.pop_front();
-        return task;
-      }
-    }
-    return nullptr;
-  }
-
-  std::int64_t outstanding() const {
-    return outstanding_.load(std::memory_order_acquire);
-  }
-  void mark_finished() { outstanding_.fetch_sub(1, std::memory_order_acq_rel); }
-
- private:
-  struct alignas(zomp::rt::kCacheLine) MemberQueue {
-    std::mutex mutex;
-    std::deque<std::unique_ptr<zomp::rt::Task>> deque;
-  };
-  std::deque<MemberQueue> queues_;
-  alignas(zomp::rt::kCacheLine) std::atomic<std::int64_t> outstanding_{0};
-};
-
 std::unique_ptr<zomp::rt::Task> make_dummy_task(zomp::rt::TaskContext* parent) {
   auto t = std::make_unique<zomp::rt::Task>();
   t->body = [] {};
@@ -606,69 +305,52 @@ std::unique_ptr<zomp::rt::Task> make_dummy_task(zomp::rt::TaskContext* parent) {
   return t;
 }
 
-/// Owner-side push/pop throughput, no contention: the per-task queue cost
-/// every spawn pays. Tasks are preallocated and recycled so the measurement
-/// isolates the queue operations from task allocation.
-/// range(0): 0 = seed mutex pool, 1 = lock-free deque.
+/// Owner-side push/pop throughput on the lock-free deque, no contention: the
+/// per-task queue cost every spawn pays. Tasks are preallocated and recycled
+/// so the measurement isolates the queue operations from task allocation.
 void BM_TaskQueueOwnerOps(benchmark::State& state) {
-  const bool lockfree = state.range(0) == 1;
   constexpr int kBurst = 256;
   zomp::rt::TaskContext parent;
-  zomp::rt::TaskPool ws_pool(1);
+  zomp::rt::TaskPool pool(1);
   zomp::rt::Counters counters;
-  MutexTaskPool mutex_pool(1);
   std::vector<std::unique_ptr<zomp::rt::Task>> arena;
   arena.reserve(kBurst);
   for (int i = 0; i < kBurst; ++i) arena.push_back(make_dummy_task(&parent));
-  std::vector<zomp::rt::Task*> raw(kBurst);
-  for (int i = 0; i < kBurst; ++i) raw[static_cast<std::size_t>(i)] = arena[static_cast<std::size_t>(i)].get();
   for (auto _ : state) {
-    for (int i = 0; i < kBurst; ++i) {
-      std::unique_ptr<zomp::rt::Task> t(raw[static_cast<std::size_t>(i)]);
-      if (lockfree) {
-        if (auto rejected = ws_pool.push(0, std::move(t))) {
-          rejected.release();  // kBurst < capacity, so this never fires
-          state.SkipWithError("unexpected deque overflow");
-        }
-      } else {
-        mutex_pool.push(0, std::move(t));
+    for (const auto& task : arena) {
+      std::unique_ptr<zomp::rt::Task> t(task.get());
+      if (auto rejected = pool.push(0, std::move(t))) {
+        rejected.release();  // kBurst < capacity, so this never fires
+        state.SkipWithError("unexpected deque overflow");
       }
     }
     for (int i = 0; i < kBurst; ++i) {
-      auto t = lockfree ? ws_pool.take(0, counters) : mutex_pool.take(0);
+      auto t = pool.take(0, counters);
       if (!t) {
         state.SkipWithError("queue lost a task");
         break;
       }
-      (lockfree ? static_cast<void>(ws_pool.mark_finished())
-                : mutex_pool.mark_finished());
+      pool.mark_finished();
       t.release();  // back to the arena; freed once by `arena` at teardown
     }
   }
   state.SetItemsProcessed(state.iterations() * kBurst);
-  state.SetLabel(lockfree ? "lockfree-deque" : "mutex-seed");
 }
-ZOMP_BENCHMARK(BM_TaskQueueOwnerOps)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond)->Iterations(2000);
+ZOMP_BENCHMARK(BM_TaskQueueOwnerOps)->Unit(benchmark::kMicrosecond)->Iterations(2000);
 
 /// Steal throughput under contention: one member's queue is pre-loaded and
 /// `thieves` threads drain it through take() — the path the task-aware
-/// barrier exercises. range(0): 0 = mutex, 1 = lock-free; range(1): thieves.
+/// barrier exercises. range(0): thieves.
 void BM_TaskQueueStealDrain(benchmark::State& state) {
-  const bool lockfree = state.range(0) == 1;
-  const int thieves = static_cast<int>(state.range(1));
+  const int thieves = static_cast<int>(state.range(0));
   constexpr int kTasks = 1024;  // == WorkStealingDeque::kCapacity
   zomp::rt::TaskContext parent;
   for (auto _ : state) {
     state.PauseTiming();
-    auto ws_pool = std::make_unique<zomp::rt::TaskPool>(thieves + 1);
-    auto mutex_pool = std::make_unique<MutexTaskPool>(thieves + 1);
+    auto pool = std::make_unique<zomp::rt::TaskPool>(thieves + 1);
     for (int i = 0; i < kTasks; ++i) {
-      if (lockfree) {
-        if (auto rejected = ws_pool->push(0, make_dummy_task(&parent))) {
-          state.SkipWithError("unexpected deque overflow");
-        }
-      } else {
-        mutex_pool->push(0, make_dummy_task(&parent));
+      if (auto rejected = pool->push(0, make_dummy_task(&parent))) {
+        state.SkipWithError("unexpected deque overflow");
       }
     }
     std::atomic<int> drained{0};
@@ -679,14 +361,10 @@ void BM_TaskQueueStealDrain(benchmark::State& state) {
       threads.emplace_back([&, t] {
         zomp::rt::Counters counters;
         for (;;) {
-          auto task =
-              lockfree ? ws_pool->take(t, counters) : mutex_pool->take(t);
-          if (task) {
-            (lockfree ? static_cast<void>(ws_pool->mark_finished())
-                      : mutex_pool->mark_finished());
+          if (auto task = pool->take(t, counters)) {
+            pool->mark_finished();
             drained.fetch_add(1, std::memory_order_relaxed);
-          } else if ((lockfree ? ws_pool->outstanding()
-                               : mutex_pool->outstanding()) == 0) {
+          } else if (pool->outstanding() == 0) {
             return;
           }
         }
@@ -696,13 +374,10 @@ void BM_TaskQueueStealDrain(benchmark::State& state) {
     if (drained.load() != kTasks) state.SkipWithError("lost tasks");
   }
   state.SetItemsProcessed(state.iterations() * kTasks);
-  state.SetLabel(lockfree ? "lockfree-deque" : "mutex-seed");
 }
 ZOMP_BENCHMARK(BM_TaskQueueStealDrain)
-    ->Args({0, 2})
-    ->Args({1, 2})
-    ->Args({0, 8})
-    ->Args({1, 8})
+    ->Arg(2)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(50);
 
@@ -711,15 +386,13 @@ ZOMP_BENCHMARK(BM_TaskQueueStealDrain)
 /// runtime's backoff discipline — the shape of a `single`-producer task storm
 /// inside a parallel region. Overflowing the bounded deque counts as an
 /// inline execution, exactly as Team::task_create handles it.
-/// range(0): 0 = mutex seed pool, 1 = lock-free deque; range(1): thieves.
+/// range(0): thieves.
 void BM_TaskSpawnStealThroughput(benchmark::State& state) {
-  const bool lockfree = state.range(0) == 1;
-  const int thieves = static_cast<int>(state.range(1));
+  const int thieves = static_cast<int>(state.range(0));
   constexpr int kTasks = 4096;
   zomp::rt::TaskContext parent;
   for (auto _ : state) {
-    auto ws_pool = std::make_unique<zomp::rt::TaskPool>(thieves + 1);
-    auto mutex_pool = std::make_unique<MutexTaskPool>(thieves + 1);
+    auto pool = std::make_unique<zomp::rt::TaskPool>(thieves + 1);
     std::atomic<bool> producing{true};
     std::atomic<int> done{0};
     std::vector<std::thread> threads;
@@ -729,16 +402,12 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
         zomp::rt::Backoff backoff;
         zomp::rt::Counters counters;
         for (;;) {
-          auto task =
-              lockfree ? ws_pool->take(t, counters) : mutex_pool->take(t);
-          if (task) {
-            (lockfree ? static_cast<void>(ws_pool->mark_finished())
-                      : mutex_pool->mark_finished());
+          if (auto task = pool->take(t, counters)) {
+            pool->mark_finished();
             done.fetch_add(1, std::memory_order_relaxed);
             backoff.reset();
           } else if (!producing.load(std::memory_order_acquire) &&
-                     (lockfree ? ws_pool->outstanding()
-                               : mutex_pool->outstanding()) == 0) {
+                     pool->outstanding() == 0) {
             return;
           } else {
             backoff.pause();
@@ -747,26 +416,17 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
       });
     }
     for (int i = 0; i < kTasks; ++i) {
-      auto task = make_dummy_task(&parent);
-      if (lockfree) {
-        if (ws_pool->push(0, std::move(task))) {
-          done.fetch_add(1, std::memory_order_relaxed);  // inline on overflow
-        }
-      } else {
-        mutex_pool->push(0, std::move(task));
+      if (pool->push(0, make_dummy_task(&parent))) {
+        done.fetch_add(1, std::memory_order_relaxed);  // inline on overflow
       }
     }
     producing.store(false, std::memory_order_release);
     zomp::rt::Counters counters;
     for (;;) {  // producer helps drain, like the join barrier
-      auto task =
-          lockfree ? ws_pool->take(0, counters) : mutex_pool->take(0);
-      if (task) {
-        (lockfree ? static_cast<void>(ws_pool->mark_finished())
-                  : mutex_pool->mark_finished());
+      if (auto task = pool->take(0, counters)) {
+        pool->mark_finished();
         done.fetch_add(1, std::memory_order_relaxed);
-      } else if ((lockfree ? ws_pool->outstanding()
-                           : mutex_pool->outstanding()) == 0) {
+      } else if (pool->outstanding() == 0) {
         break;
       }
     }
@@ -774,74 +434,10 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
     if (done.load() != kTasks) state.SkipWithError("lost tasks");
   }
   state.SetItemsProcessed(state.iterations() * kTasks);
-  state.SetLabel(lockfree ? "lockfree-deque" : "mutex-seed");
 }
 ZOMP_BENCHMARK(BM_TaskSpawnStealThroughput)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 7})
-    ->Args({1, 7})
-    ->Unit(benchmark::kMicrosecond)
-    ->Iterations(20);
-
-/// Fine-grained dynamic scheduling: threads claim a 1<<16-iteration space in
-/// chunk-1 units. Seed behaviour (one fetch_add per chunk) vs the batched
-/// shared cursor behind dispatch_next_chunk. range(0): 0 = seed, 1 = batched;
-/// range(1): claiming threads.
-void BM_DynamicChunkClaim(benchmark::State& state) {
-  const bool batched = state.range(0) == 1;
-  const int threads = static_cast<int>(state.range(1));
-  constexpr std::int64_t kTrips = 1 << 16;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto slot = std::make_unique<zomp::rt::DispatchSlot>();
-    slot->kind = zomp::rt::ScheduleKind::kDynamic;
-    slot->lo = 0;
-    slot->hi = kTrips;
-    slot->step = 1;
-    slot->chunk = 1;
-    slot->trips = kTrips;
-    slot->nthreads = threads;
-    zomp::rt::dispatch_init_shards(*slot, zomp::rt::ShardMap{},
-                                   /*sharded=*/false);
-    std::atomic<std::int64_t> claimed_total{0};
-    state.ResumeTiming();
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        std::int64_t mine = 0;
-        if (batched) {
-          zomp::rt::MemberDispatch md;
-          zomp::rt::Counters counters;
-          std::int64_t lo = 0, hi = 0;
-          bool last = false;
-          while (zomp::rt::dispatch_next_chunk(*slot, md, counters, &lo, &hi,
-                                               &last)) {
-            mine += hi - lo;
-          }
-        } else {
-          for (;;) {  // the seed path: one chunk per atomic RMW
-            const std::int64_t c =
-                slot->shards[0].next.fetch_add(1, std::memory_order_relaxed);
-            if (c >= kTrips) break;
-            ++mine;
-          }
-        }
-        claimed_total.fetch_add(mine, std::memory_order_relaxed);
-      });
-    }
-    for (auto& th : workers) th.join();
-    if (claimed_total.load() != kTrips) state.SkipWithError("missed iterations");
-  }
-  state.SetItemsProcessed(state.iterations() * kTrips);
-  state.SetLabel(batched ? "batched-cursor" : "seed-cursor");
-}
-ZOMP_BENCHMARK(BM_DynamicChunkClaim)
-    ->Args({0, 2})
-    ->Args({1, 2})
-    ->Args({0, 8})
-    ->Args({1, 8})
+    ->Arg(1)
+    ->Arg(7)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(20);
 

@@ -7,6 +7,8 @@
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "lang/sema.h"
 #include "runtime/abi.h"
@@ -167,6 +169,21 @@ void pack_combine(void* /*ctx*/, void* lhs, const void* rhs) {
       default: x.u.i = combined.as_i64(); break;
     }
   }
+}
+
+/// Binds a native runtime entry point taking i64 arguments as a host fn.
+template <typename R, typename... A>
+Interp::HostFn host_fn(R (*fn)(A...)) {
+  return [fn](std::vector<Value>& args) {
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+      if constexpr (std::is_void_v<R>) {
+        fn(args.at(I).as_i64()...);
+        return Value();
+      } else {
+        return Value(fn(args.at(I).as_i64()...));
+      }
+    }(std::index_sequence_for<A...>{});
+  };
 }
 
 }  // namespace
@@ -1038,72 +1055,14 @@ Interp::Interp(const lang::Module& module, Options options)
     globals_[g->symbol] = make_cell(std::move(v));
   }
 
-  // Pre-registered host functions: the runtime query API.
-  register_host_fn("mz_omp_get_thread_num",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::thread_num())); });
-  register_host_fn("mz_omp_get_num_threads",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::num_threads())); });
-  register_host_fn("mz_omp_get_max_threads",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::max_threads())); });
-  register_host_fn("mz_omp_get_num_procs",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::num_procs())); });
-  register_host_fn("mz_omp_in_parallel", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::in_parallel() ? 1 : 0));
-  });
-  register_host_fn("mz_omp_get_level", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::level()));
-  });
-  register_host_fn("mz_omp_get_team_size", [](std::vector<Value>& args) {
-    return Value(static_cast<std::int64_t>(
-        zomp::team_size(static_cast<rt::i32>(args.at(0).as_i64()))));
-  });
-  register_host_fn("mz_omp_get_max_active_levels", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::get_max_active_levels()));
-  });
-  register_host_fn("mz_omp_set_max_active_levels", [](std::vector<Value>& args) {
-    zomp::set_max_active_levels(static_cast<rt::i32>(args.at(0).as_i64()));
-    return Value();
-  });
-  register_host_fn("mz_omp_get_max_task_priority", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::max_task_priority()));
-  });
-  register_host_fn("mz_omp_set_num_threads", [](std::vector<Value>& args) {
-    zomp::set_num_threads(static_cast<rt::i32>(args.at(0).as_i64()));
-    return Value();
-  });
-  register_host_fn("mz_omp_get_wtime",
-                   [](std::vector<Value>&) { return Value(zomp::wtime()); });
-  register_host_fn("mz_omp_get_wtick",
-                   [](std::vector<Value>&) { return Value(zomp::wtick()); });
-  register_host_fn("mz_omp_team_stat", [](std::vector<Value>& args) {
-    return Value(mz_omp_team_stat(args.at(0).as_i64()));
-  });
-  register_host_fn("mz_omp_trace_flush", [](std::vector<Value>&) {
-    return Value(mz_omp_trace_flush());
-  });
-  register_host_fn("mz_omp_get_cancellation", [](std::vector<Value>&) {
-    return Value(mz_omp_get_cancellation());
-  });
-  register_host_fn("mz_omp_get_proc_bind", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::get_proc_bind()));
-  });
-  register_host_fn("mz_omp_get_num_places", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::num_places()));
-  });
-  register_host_fn("mz_omp_get_place_num", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::place_num()));
-  });
-  register_host_fn("mz_omp_get_place_num_procs", [](std::vector<Value>& args) {
-    return Value(static_cast<std::int64_t>(
-        zomp::place_num_procs(static_cast<rt::i32>(args.at(0).as_i64()))));
-  });
-  register_host_fn("mz_omp_get_partition_num_places", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::partition_num_places()));
-  });
-  register_host_fn("mz_omp_display_affinity", [](std::vector<Value>&) {
-    zomp::display_affinity();
-    return Value();
-  });
+  // Pre-registered host functions: every row of the routine table binds to
+  // its native mz_omp_ entry point, which does the i64 conversions.
+#define ZOMP_HOST_FN(q, impl) \
+  host_fns_.emplace("mz_omp_" #q, host_fn(&mz_omp_##q));
+  ZOMP_ROUTINES(ZOMP_HOST_FN, ZOMP_HOST_FN, ZOMP_HOST_FN, ZOMP_HOST_FN,
+                ZOMP_HOST_FN)
+#undef ZOMP_HOST_FN
+  register_host_fn("mz_omp_team_stat", host_fn(&mz_omp_team_stat));
 }
 
 void Interp::register_host_fn(const std::string& name, HostFn fn) {

@@ -43,8 +43,9 @@ class Interp {
   /// The module must have passed sema with the OpenMP transform applied.
   explicit Interp(const lang::Module& module, Options options = Options());
 
-  /// Registers a host implementation for an `extern fn`. The mz_omp_* query
-  /// functions and mz wtime are pre-registered.
+  /// Registers a host implementation for an `extern fn`. Every routine-table
+  /// row (runtime/abi.h) and mz_omp_team_stat are pre-registered, bound to
+  /// their native mz_omp_* entry points.
   void register_host_fn(const std::string& name, HostFn fn);
 
   /// Runs `pub fn main`. Returns false if the module has no main.

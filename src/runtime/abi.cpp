@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "runtime/api.h"
@@ -19,6 +20,13 @@ using zomp::rt::i64;
 using zomp::rt::Schedule;
 using zomp::rt::ScheduleKind;
 using zomp::rt::ThreadState;
+
+/// The one i64 -> i32 narrowing of the mz_omp_ column: values outside the
+/// i32 range saturate to the nearest bound instead of wrapping.
+i32 narrow(i64 v) {
+  return static_cast<i32>(std::clamp<i64>(v, std::numeric_limits<i32>::min(),
+                                          std::numeric_limits<i32>::max()));
+}
 
 zomp::rt::SourceIdent to_ident(const zomp_ident_t* loc) {
   if (loc == nullptr) return zomp::rt::SourceIdent{};
@@ -173,14 +181,6 @@ std::int32_t zomp_cancellation_point(const zomp_ident_t* /*loc*/,
     default:
       return 0;
   }
-}
-
-std::int32_t zomp_get_cancellation(void) {
-  return zomp::rt::GlobalIcv::instance().cancellation() ? 1 : 0;
-}
-
-std::int64_t mz_omp_get_cancellation(void) {
-  return zomp_get_cancellation();
 }
 
 std::int32_t zomp_barrier(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/) {
@@ -378,29 +378,42 @@ void zomp_taskloop(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
 
 // -- Queries ----------------------------------------------------------------
 
-std::int64_t mz_omp_get_thread_num(void) { return zomp::thread_num(); }
-std::int64_t mz_omp_get_num_threads(void) { return zomp::num_threads(); }
-std::int64_t mz_omp_get_max_threads(void) { return zomp::max_threads(); }
-std::int64_t mz_omp_get_num_procs(void) { return zomp::num_procs(); }
-std::int64_t mz_omp_in_parallel(void) { return zomp::in_parallel() ? 1 : 0; }
-std::int64_t mz_omp_get_level(void) { return zomp::level(); }
-std::int64_t mz_omp_get_team_size(std::int64_t level) {
-  return zomp::team_size(static_cast<i32>(level));
+// The routine table's definitions (abi.h): both columns call the zomp::
+// routine directly, the mz_omp_ one through narrow() for its argument.
+#define ZOMP_DEFINE_INT(q, impl)                                            \
+  std::int32_t zomp_##q(void) { return static_cast<std::int32_t>(impl()); } \
+  std::int64_t mz_omp_##q(void) { return static_cast<std::int64_t>(impl()); }
+#define ZOMP_DEFINE_INT_INT(q, impl)                        \
+  std::int32_t zomp_##q(std::int32_t a) { return impl(a); } \
+  std::int64_t mz_omp_##q(std::int64_t a) { return impl(narrow(a)); }
+#define ZOMP_DEFINE_VOID_INT(q, impl)        \
+  void zomp_##q(std::int32_t a) { impl(a); } \
+  void mz_omp_##q(std::int64_t a) { impl(narrow(a)); }
+#define ZOMP_DEFINE_DOUBLE(q, impl)        \
+  double zomp_##q(void) { return impl(); } \
+  double mz_omp_##q(void) { return impl(); }
+#define ZOMP_DEFINE_VOID(q, impl) \
+  void zomp_##q(void) { impl(); } \
+  void mz_omp_##q(void) { impl(); }
+ZOMP_ROUTINES(ZOMP_DEFINE_INT, ZOMP_DEFINE_INT_INT, ZOMP_DEFINE_VOID_INT,
+              ZOMP_DEFINE_DOUBLE, ZOMP_DEFINE_VOID)
+#undef ZOMP_DEFINE_INT
+#undef ZOMP_DEFINE_INT_INT
+#undef ZOMP_DEFINE_VOID_INT
+#undef ZOMP_DEFINE_DOUBLE
+#undef ZOMP_DEFINE_VOID
+
+void zomp_team_stats(zomp_team_stats_t* out) {
+  if (out == nullptr) return;
+  const zomp::TeamStats s = zomp::team_stats();
+  out->steal_attempts = s.steal_attempts;
+  out->steal_lost = s.steal_lost;
+  out->mailbox_pulls = s.mailbox_pulls;
+  out->tasks_executed = s.tasks_executed;
+  out->dispatch_claims = s.dispatch_claims;
+  out->barrier_episodes = s.barrier_episodes;
 }
-std::int64_t mz_omp_get_max_active_levels(void) {
-  return zomp::get_max_active_levels();
-}
-void mz_omp_set_max_active_levels(std::int64_t levels) {
-  zomp::set_max_active_levels(static_cast<i32>(levels));
-}
-std::int64_t mz_omp_get_max_task_priority(void) {
-  return zomp::max_task_priority();
-}
-void mz_omp_set_num_threads(std::int64_t n) {
-  zomp::set_num_threads(static_cast<i32>(n));
-}
-double mz_omp_get_wtime(void) { return zomp::wtime(); }
-double mz_omp_get_wtick(void) { return zomp::wtick(); }
+
 std::int64_t mz_omp_team_stat(std::int64_t which) {
   const zomp::TeamStats s = zomp::team_stats();
   switch (which) {
@@ -413,72 +426,13 @@ std::int64_t mz_omp_team_stat(std::int64_t which) {
     default: return 0;
   }
 }
-std::int64_t mz_omp_trace_flush(void) { return zomp::trace_flush() ? 1 : 0; }
 
-std::int32_t zomp_get_thread_num(void) { return zomp::thread_num(); }
-std::int32_t zomp_get_num_threads(void) { return zomp::num_threads(); }
-std::int32_t zomp_get_max_threads(void) { return zomp::max_threads(); }
-std::int32_t zomp_get_num_procs(void) { return zomp::num_procs(); }
-std::int32_t zomp_in_parallel(void) { return zomp::in_parallel() ? 1 : 0; }
-std::int32_t zomp_get_level(void) { return zomp::level(); }
-std::int32_t zomp_get_team_size(std::int32_t level) {
-  return zomp::team_size(level);
-}
-std::int32_t zomp_get_max_active_levels(void) {
-  return zomp::get_max_active_levels();
-}
-void zomp_set_max_active_levels(std::int32_t levels) {
-  zomp::set_max_active_levels(levels);
-}
-std::int32_t zomp_get_max_task_priority(void) {
-  return zomp::max_task_priority();
-}
-void zomp_set_num_threads(std::int32_t n) { zomp::set_num_threads(n); }
-double zomp_get_wtime(void) { return zomp::wtime(); }
-double zomp_get_wtick(void) { return zomp::wtick(); }
-std::int32_t zomp_trace_flush(void) { return zomp::trace_flush() ? 1 : 0; }
-void zomp_team_stats(zomp_team_stats_t* out) {
-  if (out == nullptr) return;
-  const zomp::TeamStats s = zomp::team_stats();
-  out->steal_attempts = s.steal_attempts;
-  out->steal_lost = s.steal_lost;
-  out->mailbox_pulls = s.mailbox_pulls;
-  out->tasks_executed = s.tasks_executed;
-  out->dispatch_claims = s.dispatch_claims;
-  out->barrier_episodes = s.barrier_episodes;
-}
-
-std::int32_t zomp_get_proc_bind(void) {
-  return static_cast<std::int32_t>(zomp::get_proc_bind());
-}
-std::int32_t zomp_get_num_places(void) { return zomp::num_places(); }
-std::int32_t zomp_get_place_num(void) { return zomp::place_num(); }
-std::int32_t zomp_get_place_num_procs(std::int32_t place) {
-  return zomp::place_num_procs(place);
-}
 void zomp_get_place_proc_ids(std::int32_t place, std::int32_t* ids) {
   zomp::place_proc_ids(place, ids);
-}
-std::int32_t zomp_get_partition_num_places(void) {
-  return zomp::partition_num_places();
 }
 void zomp_get_partition_place_nums(std::int32_t* nums) {
   zomp::partition_place_nums(nums);
 }
-void zomp_display_affinity(void) { zomp::display_affinity(); }
-
-std::int64_t mz_omp_get_proc_bind(void) {
-  return static_cast<std::int64_t>(zomp::get_proc_bind());
-}
-std::int64_t mz_omp_get_num_places(void) { return zomp::num_places(); }
-std::int64_t mz_omp_get_place_num(void) { return zomp::place_num(); }
-std::int64_t mz_omp_get_place_num_procs(std::int64_t place) {
-  return zomp::place_num_procs(static_cast<i32>(place));
-}
-std::int64_t mz_omp_get_partition_num_places(void) {
-  return zomp::partition_num_places();
-}
-void mz_omp_display_affinity(void) { zomp::display_affinity(); }
 
 void zomp_set_affinity_format(const char* format) {
   zomp::set_affinity_format(format);
@@ -490,20 +444,6 @@ std::uint64_t zomp_capture_affinity(char* buffer, std::uint64_t size,
                                     const char* format) {
   return zomp::capture_affinity(buffer, static_cast<std::size_t>(size),
                                 format);
-}
-
-void mz_omp_set_affinity_format(const char* format) {
-  zomp::set_affinity_format(format);
-}
-std::int64_t mz_omp_get_affinity_format(char* buffer, std::int64_t size) {
-  const std::size_t n = size > 0 ? static_cast<std::size_t>(size) : 0;
-  return static_cast<std::int64_t>(zomp::get_affinity_format(buffer, n));
-}
-std::int64_t mz_omp_capture_affinity(char* buffer, std::int64_t size,
-                                     const char* format) {
-  const std::size_t n = size > 0 ? static_cast<std::size_t>(size) : 0;
-  return static_cast<std::int64_t>(
-      zomp::capture_affinity(buffer, n, format));
 }
 
 }  // extern "C"

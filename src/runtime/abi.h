@@ -301,29 +301,70 @@ std::int32_t zomp_cancellation_point(const zomp_ident_t* loc,
                                      std::int32_t gtid,
                                      std::int32_t construct);
 
-/// omp_get_cancellation: the cancel-var ICV (OMP_CANCELLATION).
-std::int32_t zomp_get_cancellation(void);
+// -- Queries / control (the omp_* routine family) -----------------------------
+//
+// The routine table: one row per query, naming it and the zomp:: routine
+// that implements and documents it (api.h; trace.h for trace_flush). Each
+// row is exported twice: as zomp_<q> with i32 integers, and as mz_omp_<q>
+// with i64 ones for MiniZig, whose only integer type is i64 — its `extern
+// fn` declarations of the runtime API (the paper's route for calling omp_*
+// from Zig) bind there. The declarations below, the definitions in abi.cpp
+// and the interpreter's host functions all expand from the table, one macro
+// argument per shape:
+//
+//   INT(q, impl)       i32 zomp_q(void)      i64 mz_omp_q(void)
+//   INT_INT(q, impl)   i32 zomp_q(i32)       i64 mz_omp_q(i64)
+//   VOID_INT(q, impl)  void zomp_q(i32)      void mz_omp_q(i64)
+//   DOUBLE(q, impl)    double zomp_q(void)   double mz_omp_q(void)
+//   VOID(q, impl)      void zomp_q(void)     void mz_omp_q(void)
+//
+// An mz_omp_ argument outside the i32 range saturates to the nearest bound,
+// so 2^32 is an out-of-range level or place, not a wrapped-around 0.
+#define ZOMP_ROUTINES(INT, INT_INT, VOID_INT, DOUBLE, VOID)       \
+  INT(get_thread_num, zomp::thread_num)                           \
+  INT(get_num_threads, zomp::num_threads)                         \
+  INT(get_max_threads, zomp::max_threads)                         \
+  INT(get_num_procs, zomp::num_procs)                             \
+  INT(in_parallel, zomp::in_parallel)                             \
+  INT(get_level, zomp::level)                                     \
+  INT(get_max_active_levels, zomp::get_max_active_levels)         \
+  INT(get_max_task_priority, zomp::max_task_priority)             \
+  INT(get_cancellation, zomp::get_cancellation)                   \
+  INT(trace_flush, zomp::trace_flush)                             \
+  INT(get_proc_bind, zomp::get_proc_bind)                         \
+  INT(get_num_places, zomp::num_places)                           \
+  INT(get_place_num, zomp::place_num)                             \
+  INT(get_partition_num_places, zomp::partition_num_places)       \
+  INT_INT(get_team_size, zomp::team_size)                         \
+  INT_INT(get_place_num_procs, zomp::place_num_procs)             \
+  VOID_INT(set_num_threads, zomp::set_num_threads)                \
+  VOID_INT(set_max_active_levels, zomp::set_max_active_levels)    \
+  DOUBLE(get_wtime, zomp::wtime)                                  \
+  DOUBLE(get_wtick, zomp::wtick)                                  \
+  VOID(display_affinity, zomp::display_affinity)
 
-// -- Queries / control (the omp_* routine family) -----------------------------------
-
-std::int32_t zomp_get_thread_num(void);
-std::int32_t zomp_get_num_threads(void);
-std::int32_t zomp_get_max_threads(void);
-std::int32_t zomp_get_num_procs(void);
-std::int32_t zomp_in_parallel(void);
-std::int32_t zomp_get_level(void);
-/// omp_get_team_size(level): size of the ancestor team at nesting depth
-/// `level` (0 = the initial implicit team, always 1); -1 when out of range.
-std::int32_t zomp_get_team_size(std::int32_t level);
-/// max-active-levels-var accessors (omp_get/set_max_active_levels).
-std::int32_t zomp_get_max_active_levels(void);
-void zomp_set_max_active_levels(std::int32_t levels);
-/// omp_get_max_task_priority: the priority-clause ceiling
-/// (OMP_MAX_TASK_PRIORITY; task creation clamps to it).
-std::int32_t zomp_get_max_task_priority(void);
-void zomp_set_num_threads(std::int32_t n);
-double zomp_get_wtime(void);
-double zomp_get_wtick(void);
+#define ZOMP_DECLARE_INT(q, impl) \
+  std::int32_t zomp_##q(void);    \
+  std::int64_t mz_omp_##q(void);
+#define ZOMP_DECLARE_INT_INT(q, impl)  \
+  std::int32_t zomp_##q(std::int32_t); \
+  std::int64_t mz_omp_##q(std::int64_t);
+#define ZOMP_DECLARE_VOID_INT(q, impl) \
+  void zomp_##q(std::int32_t);         \
+  void mz_omp_##q(std::int64_t);
+#define ZOMP_DECLARE_DOUBLE(q, impl) \
+  double zomp_##q(void);             \
+  double mz_omp_##q(void);
+#define ZOMP_DECLARE_VOID(q, impl) \
+  void zomp_##q(void);             \
+  void mz_omp_##q(void);
+ZOMP_ROUTINES(ZOMP_DECLARE_INT, ZOMP_DECLARE_INT_INT, ZOMP_DECLARE_VOID_INT,
+              ZOMP_DECLARE_DOUBLE, ZOMP_DECLARE_VOID)
+#undef ZOMP_DECLARE_INT
+#undef ZOMP_DECLARE_INT_INT
+#undef ZOMP_DECLARE_VOID_INT
+#undef ZOMP_DECLARE_DOUBLE
+#undef ZOMP_DECLARE_VOID
 
 // -- Tool interface (OMPT-style; DESIGN.md S12) ------------------------------
 //
@@ -384,11 +425,6 @@ std::int32_t zomp_set_callback(std::int32_t event, zomp_tool_callback_t cb);
 /// The currently installed callback for `event` (null if none/bad event).
 zomp_tool_callback_t zomp_get_callback(std::int32_t event);
 
-/// zomp::trace_flush() twin: serializes the event rings to the ZOMP_TRACE
-/// path now. Returns 1 on success, 0 when tracing is not file-backed or
-/// the write failed.
-std::int32_t zomp_trace_flush(void);
-
 /// zomp::team_stats() twin: the lifetime counters of the caller's innermost
 /// team's member threads, summed. Readable at any point.
 struct zomp_team_stats_t {
@@ -401,18 +437,15 @@ struct zomp_team_stats_t {
 };
 void zomp_team_stats(zomp_team_stats_t* out);
 
-// Affinity queries (DESIGN.md S1.8). Place numbers index the process place
-// table built from OMP_PLACES; -1 means "unbound". The queries stay
-// meaningful when the platform refused sched_setaffinity — binding then is
-// logical-only (partitions and place numbers computed, masks unchanged).
-std::int32_t zomp_get_proc_bind(void);
-std::int32_t zomp_get_num_places(void);
-std::int32_t zomp_get_place_num(void);
-std::int32_t zomp_get_place_num_procs(std::int32_t place);
+/// zomp_team_stats flattened to MiniZig's scalar-only FFI: `which` selects
+/// the field in declaration order (0 steal_attempts .. 5 barrier_episodes);
+/// out-of-range answers 0.
+std::int64_t mz_omp_team_stat(std::int64_t which);
+
+// The two list-valued affinity queries (DESIGN.md S1.8): each copies into a
+// caller buffer sized by its count row in the table above.
 void zomp_get_place_proc_ids(std::int32_t place, std::int32_t* ids);
-std::int32_t zomp_get_partition_num_places(void);
 void zomp_get_partition_place_nums(std::int32_t* nums);
-void zomp_display_affinity(void);
 
 // affinity-format-var (OMP_AFFINITY_FORMAT): the template binding reports
 // expand — see runtime/icv.h for the field escapes. get/capture follow the
@@ -422,38 +455,5 @@ void zomp_set_affinity_format(const char* format);
 std::uint64_t zomp_get_affinity_format(char* buffer, std::uint64_t size);
 std::uint64_t zomp_capture_affinity(char* buffer, std::uint64_t size,
                                     const char* format);
-
-// MiniZig-facing variants: MiniZig's only integer type is i64, so its
-// `extern fn` declarations of the runtime API (the paper's route for calling
-// omp_* from Zig) bind to these.
-std::int64_t mz_omp_get_thread_num(void);
-std::int64_t mz_omp_get_num_threads(void);
-std::int64_t mz_omp_get_max_threads(void);
-std::int64_t mz_omp_get_num_procs(void);
-std::int64_t mz_omp_in_parallel(void);
-std::int64_t mz_omp_get_level(void);
-std::int64_t mz_omp_get_team_size(std::int64_t level);
-std::int64_t mz_omp_get_max_active_levels(void);
-void mz_omp_set_max_active_levels(std::int64_t levels);
-std::int64_t mz_omp_get_max_task_priority(void);
-void mz_omp_set_num_threads(std::int64_t n);
-double mz_omp_get_wtime(void);
-double mz_omp_get_wtick(void);
-/// zomp_team_stats flattened to MiniZig's scalar-only FFI: `which` selects
-/// the field in declaration order (0 steal_attempts .. 5 barrier_episodes);
-/// out-of-range answers 0.
-std::int64_t mz_omp_team_stat(std::int64_t which);
-std::int64_t mz_omp_trace_flush(void);
-std::int64_t mz_omp_get_cancellation(void);
-std::int64_t mz_omp_get_proc_bind(void);
-std::int64_t mz_omp_get_num_places(void);
-std::int64_t mz_omp_get_place_num(void);
-std::int64_t mz_omp_get_place_num_procs(std::int64_t place);
-std::int64_t mz_omp_get_partition_num_places(void);
-void mz_omp_display_affinity(void);
-void mz_omp_set_affinity_format(const char* format);
-std::int64_t mz_omp_get_affinity_format(char* buffer, std::int64_t size);
-std::int64_t mz_omp_capture_affinity(char* buffer, std::int64_t size,
-                                     const char* format);
 
 }  // extern "C"

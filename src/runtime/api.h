@@ -1,6 +1,8 @@
 // User-facing query/control API, the zomp equivalent of <omp.h>'s omp_*
-// routine family. These are what MiniZig's `extern` runtime declarations and
-// the C++ examples call.
+// routine family, called by the C++ examples. The routine table in abi.h
+// (ZOMP_ROUTINES) exports the scalar queries to C as zomp_* and to
+// MiniZig's `extern fn` declarations as mz_omp_*; the comments here are
+// their only documentation.
 #pragma once
 
 #include "runtime/common.h"
@@ -38,14 +40,16 @@ rt::i32 max_task_priority();
 /// Number of processors the runtime believes it can use.
 rt::i32 num_procs();
 
-/// Sets the default team size for subsequent regions on this thread.
+/// Sets the default team size for subsequent regions on this thread
+/// (omp_set_num_threads); n <= 0 is ignored.
 void set_num_threads(rt::i32 n);
 
 /// dyn-var accessors (omp_set_dynamic / omp_get_dynamic).
 void set_dynamic(bool dyn);
 bool get_dynamic();
 
-/// max-active-levels accessors.
+/// max-active-levels-var accessors (omp_set/get_max_active_levels); levels
+/// below 1 are ignored.
 void set_max_active_levels(rt::i32 levels);
 rt::i32 get_max_active_levels();
 

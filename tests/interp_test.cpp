@@ -5,13 +5,18 @@
 // on the NPB kernels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "interp/interp.h"
+#include "runtime/abi.h"
 #include "runtime/icv.h"
+#include "runtime/team.h"
 
 namespace zomp::interp {
 namespace {
@@ -646,6 +651,143 @@ pub fn main() void { @print(mz_omp_get_cancellation()); }
   icv.set_cancellation(false);
   expect_output(source, "0\n");
   icv.set_cancellation(saved);
+}
+
+TEST(InterpHostFnTest, MiniZigArgumentsSaturateToI32) {
+  // An i64 past the i32 range clamps to the nearest bound: 2^32 is an
+  // out-of-range level or place, not a wrapped-around 0.
+  const rt::Icv saved = rt::current_thread().icv;
+  expect_output(R"(
+extern fn mz_omp_get_team_size(level: i64) i64;
+extern fn mz_omp_get_place_num_procs(place: i64) i64;
+extern fn mz_omp_set_num_threads(n: i64) void;
+extern fn mz_omp_get_max_threads() i64;
+pub fn main() void {
+  @print(mz_omp_get_team_size(4294967296), mz_omp_get_team_size(-4294967296),
+         mz_omp_get_place_num_procs(4294967296));
+  mz_omp_set_num_threads(4294967299);
+  @print(mz_omp_get_max_threads());
+}
+)",
+                "-1 -1 0\n2147483647\n");
+  rt::current_thread().icv = saved;
+}
+
+/// trace_flush answers whether a write succeeded, which a second call need
+/// not repeat; like the double() rows it is checked for sign only.
+bool sign_only(std::string_view q) { return q == "trace_flush"; }
+
+/// The levels and places every int(int) row is read at.
+constexpr std::int64_t kIntArgs[] = {-1, 0, 1, 2};
+
+/// The routine table (runtime/abi.h) as one MiniZig program: `report(n)`
+/// calls the setter rows with n and the void() rows, prints every other row
+/// on one line, then calls the host fn `native_report(n)`, which repeats
+/// those calls natively on the same thread.
+std::string routine_program() {
+  std::string decls, effects, values;
+  const auto print = [&values](const std::string& expr) {
+    values += (values.empty() ? "" : ", ") + expr;
+  };
+#define MZ_INT(q, impl)                        \
+  decls += "extern fn mz_omp_" #q "() i64;\n"; \
+  print(sign_only(#q) ? "mz_omp_" #q "() >= 0" : "mz_omp_" #q "()");
+#define MZ_INT_INT(q, impl)                          \
+  decls += "extern fn mz_omp_" #q "(a: i64) i64;\n"; \
+  for (const std::int64_t a : kIntArgs)              \
+    print("mz_omp_" #q "(" + std::to_string(a) + ")");
+#define MZ_VOID_INT(q, impl)                          \
+  decls += "extern fn mz_omp_" #q "(a: i64) void;\n"; \
+  effects += "  mz_omp_" #q "(n);\n";
+#define MZ_DOUBLE(q, impl)                     \
+  decls += "extern fn mz_omp_" #q "() f64;\n"; \
+  print("mz_omp_" #q "() >= 0.0");
+#define MZ_VOID(q, impl)                        \
+  decls += "extern fn mz_omp_" #q "() void;\n"; \
+  effects += "  mz_omp_" #q "();\n";
+  ZOMP_ROUTINES(MZ_INT, MZ_INT_INT, MZ_VOID_INT, MZ_DOUBLE, MZ_VOID)
+#undef MZ_INT
+#undef MZ_INT_INT
+#undef MZ_VOID_INT
+#undef MZ_DOUBLE
+#undef MZ_VOID
+  return decls + "extern fn native_report(n: i64) void;\n" +
+         "fn report(n: i64) void {\n" + effects + "  @print(" + values +
+         ");\n  native_report(n);\n}\n" + R"(
+pub fn main() void {
+  report(5);
+  //#omp parallel num_threads(3)
+  {
+    report(2 + mz_omp_get_thread_num());
+  }
+}
+)";
+}
+
+/// The line `report(n)` prints, from the native mz_omp_ calls.
+std::string native_report(std::int64_t n) {
+  std::vector<std::string> values;
+  const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
+#define SKIP(q, impl)
+#define NATIVE_VOID_INT(q, impl) mz_omp_##q(n);
+#define NATIVE_VOID(q, impl) mz_omp_##q();
+  ZOMP_ROUTINES(SKIP, SKIP, NATIVE_VOID_INT, SKIP, NATIVE_VOID)
+#define NATIVE_INT(q, impl)                                \
+  values.push_back(sign_only(#q) ? flag(mz_omp_##q() >= 0) \
+                                 : std::to_string(mz_omp_##q()));
+#define NATIVE_INT_INT(q, impl)         \
+  for (const std::int64_t a : kIntArgs) \
+    values.push_back(std::to_string(mz_omp_##q(a)));
+#define NATIVE_DOUBLE(q, impl) values.push_back(flag(mz_omp_##q() >= 0.0));
+  ZOMP_ROUTINES(NATIVE_INT, NATIVE_INT_INT, SKIP, NATIVE_DOUBLE, SKIP)
+#undef SKIP
+#undef NATIVE_VOID_INT
+#undef NATIVE_VOID
+#undef NATIVE_INT
+#undef NATIVE_INT_INT
+#undef NATIVE_DOUBLE
+  std::string line;
+  for (const std::string& v : values) line += (line.empty() ? "" : " ") + v;
+  return line + "\n";
+}
+
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(InterpHostFnTest, EveryRoutineRowMatchesTheNativeCall) {
+  // Serially and on each member of a 3-thread region, the interpreter's
+  // line must equal the native one computed right after in the same
+  // context: a missing, misnamed or mis-converted binding shows up here.
+  const std::string source = routine_program();
+  auto result = core::compile_source(source);
+  ASSERT_TRUE(result.ok) << result.diagnostics_text() << source;
+  std::ostringstream out;
+  std::mutex native_mutex;
+  std::string native;
+  InterpOptions opts;
+  opts.out = &out;
+  Interp interp(*result.module, opts);
+  interp.register_host_fn("native_report", [&](std::vector<Value>& args) {
+    const std::string line = native_report(args.at(0).as_i64());
+    const std::lock_guard<std::mutex> lock(native_mutex);
+    native += line;
+    return Value();
+  });
+  const rt::Icv saved = rt::current_thread().icv;
+  testing::internal::CaptureStderr();
+  ASSERT_TRUE(interp.run_main());
+  const std::string affinity = testing::internal::GetCapturedStderr();
+  rt::current_thread().icv = saved;
+
+  EXPECT_EQ(sorted_lines(out.str()).size(), 4u) << out.str();
+  EXPECT_EQ(sorted_lines(out.str()), sorted_lines(native)) << source;
+  // display_affinity ran once per report on each side.
+  EXPECT_EQ(sorted_lines(affinity).size(), 8u) << affinity;
 }
 
 TEST(InterpApiTest, CallByNameReturnsValue) {

@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "runtime/abi.h"
 #include "runtime/icv.h"
+#include "runtime/team.h"
 
 namespace {
 
@@ -247,16 +249,87 @@ TEST(AbiQueryTest, SerialContextQueries) {
   EXPECT_GT(zomp_get_wtick(), 0.0);
 }
 
+/// Every int() row of the routine table, read through the zomp_ column.
+std::vector<std::int64_t> int_rows() {
+  std::vector<std::int64_t> rows;
+#define READ(q, impl) rows.push_back(zomp_##q());
+#define SKIP(q, impl)
+  ZOMP_ROUTINES(READ, SKIP, SKIP, SKIP, SKIP)
+#undef READ
+#undef SKIP
+  return rows;
+}
+
+/// Checks every row of the routine table for agreement between its mz_omp_
+/// and zomp_ columns in the calling context: int() and int(int) rows answer
+/// alike, a setter leaves every int() row alike through either column,
+/// double() readings interleave monotonically, and void() rows print alike.
+void expect_columns_agree() {
+#define AGREE_INT(q, impl) EXPECT_EQ(mz_omp_##q(), zomp_##q()) << #q;
+#define AGREE_INT_INT(q, impl)                  \
+  for (const std::int32_t a : {-1, 0, 1, 2, 3}) \
+    EXPECT_EQ(mz_omp_##q(a), zomp_##q(a)) << #q << "(" << a << ")";
+#define AGREE_VOID_INT(q, impl)          \
+  {                                      \
+    zomp_##q(5);                         \
+    mz_omp_##q(3);                       \
+    const auto via_mz = int_rows();      \
+    zomp_##q(5);                         \
+    zomp_##q(3);                         \
+    EXPECT_EQ(via_mz, int_rows()) << #q; \
+  }
+#define AGREE_DOUBLE(q, impl)            \
+  {                                      \
+    const double before = zomp_##q();    \
+    const double via_mz = mz_omp_##q();  \
+    EXPECT_LE(before, via_mz) << #q;     \
+    EXPECT_LE(via_mz, zomp_##q()) << #q; \
+  }
+#define AGREE_VOID(q, impl)                                              \
+  {                                                                      \
+    testing::internal::CaptureStderr();                                  \
+    zomp_##q();                                                          \
+    const std::string via_zomp = testing::internal::GetCapturedStderr(); \
+    testing::internal::CaptureStderr();                                  \
+    mz_omp_##q();                                                        \
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), via_zomp) << #q;   \
+  }
+  ZOMP_ROUTINES(AGREE_INT, AGREE_INT_INT, AGREE_VOID_INT, AGREE_DOUBLE,
+                AGREE_VOID)
+#undef AGREE_INT
+#undef AGREE_INT_INT
+#undef AGREE_VOID_INT
+#undef AGREE_DOUBLE
+#undef AGREE_VOID
+}
+
+void columns_agree_microtask(std::int32_t gtid, std::int32_t tid,
+                             void** /*args*/) {
+  // One member at a time: the void() rows capture the process's stderr.
+  for (std::int32_t turn = 0; turn < zomp_get_num_threads(); ++turn) {
+    if (turn == tid) expect_columns_agree();
+    zomp_barrier(&kLoc, gtid);
+  }
+}
+
 TEST(AbiQueryTest, MiniZigI64VariantsAgree) {
-  EXPECT_EQ(mz_omp_get_thread_num(), zomp_get_thread_num());
-  EXPECT_EQ(mz_omp_get_num_threads(), zomp_get_num_threads());
-  EXPECT_EQ(mz_omp_get_num_procs(), zomp_get_num_procs());
-  EXPECT_EQ(mz_omp_in_parallel(), zomp_in_parallel());
-  EXPECT_EQ(mz_omp_get_team_size(0), zomp_get_team_size(0));
-  EXPECT_EQ(mz_omp_get_max_active_levels(), zomp_get_max_active_levels());
-  EXPECT_EQ(mz_omp_get_max_task_priority(), zomp_get_max_task_priority());
-  mz_omp_set_num_threads(2);
-  EXPECT_EQ(mz_omp_get_max_threads(), 2);
+  const zomp::rt::Icv saved = zomp::rt::current_thread().icv;
+  expect_columns_agree();
+  zomp_push_num_threads(&kLoc, 3);
+  zomp_fork_call(&kLoc, &columns_agree_microtask, 0, nullptr);
+  zomp::rt::current_thread().icv = saved;
+}
+
+TEST(AbiQueryTest, MiniZigArgumentsSaturateToI32) {
+  // An i64 past the i32 range clamps to the nearest bound: 2^32 is an
+  // out-of-range level or place, not a wrapped-around 0.
+  const zomp::rt::Icv saved = zomp::rt::current_thread().icv;
+  EXPECT_EQ(mz_omp_get_team_size(4294967296), -1);
+  EXPECT_EQ(mz_omp_get_team_size(-4294967296), -1);
+  EXPECT_EQ(mz_omp_get_place_num_procs(4294967296), 0);
+  mz_omp_set_num_threads(4294967299);
+  EXPECT_EQ(mz_omp_get_max_threads(), 2147483647);
+  zomp::rt::current_thread().icv = saved;
 }
 
 TEST(AbiQueryTest, MaxActiveLevelsRoundTrip) {
