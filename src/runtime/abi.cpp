@@ -292,20 +292,27 @@ void zomp_atomic_max_f64(double* addr, double value) {
 
 namespace {
 
-/// Firstprivate capture: the pack bytes ride inside the task closure.
-std::function<void()> capture_task_body(void (*fn)(void* arg), const void* arg,
-                                        std::int64_t arg_size) {
-  std::vector<unsigned char> capture(static_cast<std::size_t>(arg_size));
-  if (arg_size > 0) std::memcpy(capture.data(), arg, capture.size());
-  return [fn, capture = std::move(capture)]() mutable { fn(capture.data()); };
-}
+/// Firstprivate capture: placing the body copies the pack bytes into the
+/// task's own storage (TaskBody::emplace_pack), so the caller may reuse its
+/// pack as soon as the call returns.
+struct PackedBody {
+  void (*fn)(void* arg);
+  const void* arg;
+  std::int64_t size;
+
+  static void place(void* self, zomp::rt::TaskBody& dst) {
+    const auto& p = *static_cast<const PackedBody*>(self);
+    dst.emplace_pack(p.fn, p.arg, static_cast<std::size_t>(p.size));
+  }
+};
 
 }  // namespace
 
 void zomp_task(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                void (*fn)(void* arg), const void* arg, std::int64_t arg_size) {
   ThreadState& ts = current_thread();
-  ts.team->task_create(ts, capture_task_body(fn, arg, arg_size));
+  PackedBody body{fn, arg, arg_size};
+  ts.team->task_create(ts, zomp::rt::TaskBodyRef(&PackedBody::place, &body));
 }
 
 void zomp_task_with_deps(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
@@ -315,23 +322,22 @@ void zomp_task_with_deps(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                          std::int32_t priority) {
   ThreadState& ts = current_thread();
   zomp::rt::TaskOpts opts;
-  std::vector<zomp::rt::DepSpec> dep_specs;
-  if (deps != nullptr && ndeps > 0) {
-    dep_specs.reserve(static_cast<std::size_t>(ndeps));
-    for (std::int32_t i = 0; i < ndeps; ++i) {
-      zomp::rt::DepSpec spec;
-      spec.addr = deps[i].addr;
-      spec.kind = static_cast<zomp::rt::DepKind>(deps[i].kind);
-      dep_specs.push_back(spec);
-    }
-    opts.deps = dep_specs.data();
-    opts.ndeps = ndeps;
+  const std::int32_t n = deps != nullptr && ndeps > 0 ? ndeps : 0;
+  zomp::rt::SmallArray<zomp::rt::DepSpec, zomp::rt::kStackDeps> dep_specs(
+      static_cast<std::size_t>(n));
+  for (std::int32_t i = 0; i < n; ++i) {
+    dep_specs[i].addr = deps[i].addr;
+    dep_specs[i].kind = static_cast<zomp::rt::DepKind>(deps[i].kind);
   }
+  opts.deps = dep_specs.data();
+  opts.ndeps = n;
   opts.deferred = (flags & ZOMP_TASK_UNDEFERRED) == 0;
   opts.final = (flags & ZOMP_TASK_FINAL) != 0;
   opts.untied = (flags & ZOMP_TASK_UNTIED) != 0;
   opts.priority = priority;
-  ts.team->task_create_ex(ts, capture_task_body(fn, arg, arg_size), opts);
+  PackedBody body{fn, arg, arg_size};
+  ts.team->task_create_ex(ts, zomp::rt::TaskBodyRef(&PackedBody::place, &body),
+                          opts);
 }
 
 void zomp_taskwait(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/) {

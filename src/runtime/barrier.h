@@ -64,6 +64,16 @@ class WaitGate {
     cv_.notify_all();
   }
 
+  /// Like wake_all, but wakes one waiter: for a state change that one
+  /// waiter can act on (a task landing in an empty queue). Every predicate
+  /// parked here must be made true by such a change, or the one wake may go
+  /// to a waiter that re-parks while another stays asleep.
+  void wake_one() {
+    if (parked_.load(std::memory_order_seq_cst) == 0) return;
+    { const std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_one();
+  }
+
  private:
   alignas(kCacheLine) std::atomic<i32> parked_{0};
   std::mutex mutex_;

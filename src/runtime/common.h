@@ -5,9 +5,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 
 namespace zomp::rt {
@@ -103,6 +105,27 @@ class Backoff {
  private:
   i32 limit_ = 0;
   i32 spins_ = 0;
+};
+
+/// `n` Ts for the length of a call: in the object itself up to N, one heap
+/// array above — so the common small case allocates nothing.
+template <typename T, std::size_t N>
+class SmallArray {
+ public:
+  explicit SmallArray(std::size_t n)
+      : heap_(n > N ? std::make_unique<T[]>(n) : nullptr),
+        data_(n > N ? heap_.get() : inline_) {}
+  SmallArray(const SmallArray&) = delete;
+  SmallArray& operator=(const SmallArray&) = delete;
+
+  T* data() { return data_; }
+  T& operator[](std::size_t i) { return data_[i]; }
+  T& operator[](i32 i) { return data_[static_cast<std::size_t>(i)]; }
+
+ private:
+  T inline_[N];
+  std::unique_ptr<T[]> heap_;
+  T* data_;
 };
 
 }  // namespace zomp::rt

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <type_traits>
 #include <utility>
 
@@ -109,6 +110,17 @@ rt::ReduceCombineFn reduce_thunk() {
     T* a = static_cast<T*>(lhs);
     *a = c(*a, *static_cast<const T*>(rhs));
   };
+}
+
+/// What task()/task_depend() hand the runtime to place: the callable
+/// itself, or a function's address — a function is no object to copy.
+template <typename Body>
+decltype(auto) task_callable(Body&& body) {
+  if constexpr (std::is_function_v<std::remove_reference_t<Body>>) {
+    return &body;
+  } else {
+    return std::forward<Body>(body);
+  }
 }
 
 }  // namespace detail
@@ -207,10 +219,17 @@ void master(Body&& body) {
   if (rt::current_thread().tid == 0) body();
 }
 
-/// Defers `body` as an explicit task (`#pragma omp task`).
-inline void task(std::function<void()> body) {
+/// Defers `body` as an explicit task (`#pragma omp task`). Any callable
+/// with `void()` shape works; it is copied or moved straight into the
+/// task's pooled block — inline up to rt::TaskBody::kInlineBytes of
+/// captures, in one heap box beyond — so spawning a task calls no allocator
+/// in the common case. The copy is destroyed before the task counts as
+/// complete: after taskwait/taskgroup, no capture of a finished child is
+/// still alive.
+template <typename Body>
+void task(Body&& body) {
   rt::ThreadState& ts = rt::current_thread();
-  ts.team->task_create(ts, std::move(body));
+  ts.team->task_create(ts, detail::task_callable(std::forward<Body>(body)));
 }
 
 /// Depend-clause helpers for task_depend: `dep_in(&x)` / `dep_out(&x)` /
@@ -236,9 +255,11 @@ struct TaskOptions {
 /// `#pragma omp task depend(...)`: defers `body` ordered after the sibling
 /// tasks it depends on — last-writer edges for in, writer+reader edges for
 /// out/inout (see runtime/task.h). Rides the same Team entry point as the
-/// generated-code ABI (zomp_task_with_deps).
-inline void task_depend(std::initializer_list<rt::DepSpec> deps,
-                        std::function<void()> body, TaskOptions opts = {}) {
+/// generated-code ABI (zomp_task_with_deps); `body` is placed like task()'s,
+/// and its pooled dependence node needs no allocation either.
+template <typename Body>
+void task_depend(std::initializer_list<rt::DepSpec> deps, Body&& body,
+                 TaskOptions opts = {}) {
   rt::ThreadState& ts = rt::current_thread();
   rt::TaskOpts topts;
   topts.deps = deps.begin();
@@ -246,7 +267,8 @@ inline void task_depend(std::initializer_list<rt::DepSpec> deps,
   topts.deferred = opts.if_clause;
   topts.final = opts.final_clause;
   topts.priority = opts.priority;
-  ts.team->task_create_ex(ts, std::move(body), topts);
+  ts.team->task_create_ex(ts, detail::task_callable(std::forward<Body>(body)),
+                          topts);
 }
 
 /// `#pragma omp taskloop`: distributes [lo, hi) over chunk tasks inside an

@@ -11,22 +11,33 @@
 // `taskwait` with group counting for `taskgroup`.
 //
 // Dependence layer (DESIGN.md S1.7): tasks created with `depend(in/out/inout:
-// addr)` clauses get a refcounted DepNode with an atomic predecessor count.
-// Edges are computed at creation time against a per-parent hash table keyed
-// on the depend addresses (last-writer edge for out/inout, reader-set edges
-// for in) — creation of siblings is serialised by the parent task, so the
-// table itself needs no lock; only per-node state is concurrent. A task whose
-// count is still non-zero at creation parks on its node instead of entering
-// a deque; completing predecessors release it. Tasks with no depend clauses
-// never allocate a node and take the original deque fast path untouched.
+// addr)` clauses get a DepNode with its own reference count and an atomic
+// predecessor count. Edges are computed at creation time against a
+// per-parent hash table keyed on the depend addresses (last-writer edge for
+// out/inout, reader-set edges for in) — creation of siblings is serialised
+// by the parent task, so the table itself needs no lock; only per-node state
+// is concurrent. A task whose count is still non-zero at creation parks on
+// its node instead of entering a deque; completing predecessors release it.
+// Tasks with no depend clauses never allocate a node and take the original
+// deque fast path untouched.
+//
+// Allocation (DESIGN.md S1.7): creating a task calls no allocator. Task and
+// DepNode live in fixed-size blocks from per-thread pools (block_alloc); a
+// block freed on another thread returns to the thread that allocated it. The
+// body is constructed in place inside the Task block (TaskBody), and a
+// node's first successors fit in inline slots.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/common.h"
@@ -35,6 +46,166 @@ namespace zomp::rt {
 
 class Counters;
 struct Task;
+
+// -- Block pool ---------------------------------------------------------------
+//
+// Task and DepNode allocate through class-level operator new/delete from
+// per-thread pools of fixed-size blocks (LLVM libomp recycles its task
+// descriptors the same way), and the dependence layer's containers grow
+// from power-of-two array blocks of the same pools (PoolAllocator). Each
+// block carries a one-word header naming its owner, the thread that carved
+// it. The owner frees onto its local list; any other thread CAS-pushes the
+// block onto the owner's return stack, which the owner takes whole with one
+// exchange when its local list runs dry. Other threads only push and the
+// owner only takes everything, so the stack has no ABA problem. A thread's
+// lists live in a never-freed registry: a block returned after its owner
+// exited stays valid, and the next thread to start adopts the exited
+// thread's lists, blocks included.
+
+/// Block sizes: one per pooled type, then the array classes — 16 bytes
+/// doubling up to kMaxPooledArray.
+enum class BlockKind : u32 { kTask = 0, kDepNode = 1, kFirstArray = 2 };
+inline constexpr std::size_t kMaxPooledArray = 4096;
+inline constexpr std::size_t kBlockKinds = 2 + 9;  // 16 B .. 4 KiB
+
+/// A block for one `kind` object, from the calling thread's pool.
+void* block_alloc(BlockKind kind);
+/// Returns a block from block_alloc to its owner's pool; any thread.
+void block_free(BlockKind kind, void* block) noexcept;
+
+/// `bytes` of max-aligned storage: a pooled block of the smallest array
+/// class that fits, or the global allocator past kMaxPooledArray.
+void* array_alloc(std::size_t bytes);
+/// Frees array_alloc storage; `bytes` must match the request. Any thread.
+void array_free(void* p, std::size_t bytes) noexcept;
+
+/// Standard allocator over array_alloc, so a container that grows while
+/// tasks are created (a node's spilled successors, the dependence table and
+/// its reader lists) recycles pooled blocks instead of calling malloc.
+template <typename T>
+struct PoolAllocator {
+  static_assert(alignof(T) <= alignof(std::max_align_t));
+  using value_type = T;
+
+  PoolAllocator() = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}  // NOLINT: rebind
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(array_alloc(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept { array_free(p, n * sizeof(T)); }
+
+  friend bool operator==(const PoolAllocator&, const PoolAllocator&) {
+    return true;
+  }
+};
+
+template <typename T>
+using PoolVector = std::vector<T, PoolAllocator<T>>;
+
+// -- Task bodies ----------------------------------------------------------------
+
+/// A task's body, stored in place: kInlineBytes of storage inside the Task
+/// block plus an invoke hook and a destroy hook. A callable that fits is
+/// constructed straight into the storage. A larger one gets one heap box,
+/// placed the same way (the storage then holds the box's pointer).
+class TaskBody {
+ public:
+  /// Inline capacity. The largest generated firstprivate pack is 40 bytes
+  /// (taskgraph's update task); the C ABI stores it beside its function
+  /// pointer.
+  static constexpr std::size_t kInlineBytes = 64;
+
+  TaskBody() = default;
+  TaskBody(const TaskBody&) = delete;
+  TaskBody& operator=(const TaskBody&) = delete;
+  ~TaskBody() { reset(); }
+
+  /// Replaces the body with `f` (tests and benches assign lambdas).
+  template <typename F>
+  TaskBody& operator=(F&& f) {
+    reset();
+    emplace(std::forward<F>(f));
+    return *this;
+  }
+
+  /// Constructs `f` in place: inline when it fits, else in one heap box.
+  /// The body must be empty.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t)) {
+      place<Fn>(std::forward<F>(f));
+    } else {
+      place<Boxed<Fn>>(Boxed<Fn>{std::make_unique<Fn>(std::forward<F>(f))});
+    }
+  }
+
+  /// The C ABI's body: `fn` runs on a private copy of the `size`-byte
+  /// firstprivate pack at `arg`, taken now. The body must be empty.
+  void emplace_pack(void (*fn)(void*), const void* arg, std::size_t size);
+
+  void operator()() { invoke_(storage_); }
+
+  /// Destroys the callable (its captures) now. Idempotent.
+  void reset() noexcept {
+    if (destroy_ != nullptr) destroy_(storage_);
+    invoke_ = nullptr;
+    destroy_ = nullptr;
+  }
+
+ private:
+  template <typename Fn>
+  struct Boxed {
+    std::unique_ptr<Fn> fn;
+    void operator()() { (*fn)(); }
+  };
+
+  template <typename Fn, typename F>
+  void place(F&& f) {
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    invoke_ = [](void* s) { std::invoke(*static_cast<Fn*>(s)); };
+    if constexpr (!std::is_trivially_destructible_v<Fn>) {
+      destroy_ = [](void* s) { static_cast<Fn*>(s)->~Fn(); };
+    }
+  }
+
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  void (*invoke_)(void*) = nullptr;
+  void (*destroy_)(void*) = nullptr;
+};
+
+/// A body its creator has not placed yet. Team's task creation places it
+/// exactly once: straight into the Task block, or into a stack TaskBody
+/// when the task runs at its creation point. Implicit from any callable,
+/// which it references (an lvalue is copied when placed, an rvalue moved),
+/// so it is valid only within the full expression that made it.
+class TaskBodyRef {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, TaskBodyRef>>>
+  TaskBodyRef(F&& f)  // NOLINT(google-explicit-constructor): by design
+      : place_([](void* callable, TaskBody& dst) {
+          dst.emplace(std::forward<F>(
+              *static_cast<std::remove_reference_t<F>*>(callable)));
+        }),
+        ctx_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))) {}
+
+  /// Custom placement: `place(ctx, dst)` constructs the body in `dst` (the
+  /// C ABI's firstprivate pack).
+  TaskBodyRef(void (*place)(void* ctx, TaskBody& dst), void* ctx)
+      : place_(place), ctx_(ctx) {}
+
+  void place_into(TaskBody& dst) const { place_(ctx_, dst); }
+
+ private:
+  void (*place_)(void*, TaskBody&);
+  void* ctx_;
+};
+
+// -- Dependences ----------------------------------------------------------------
 
 struct TaskGroup {
   std::atomic<i64> active{0};
@@ -57,11 +228,12 @@ struct DepSpec {
   DepKind kind = DepKind::kInout;
 };
 
-/// Dependence-graph node of one task (libomp's kmp_depnode analogue).
-/// Shared-ptr managed: referenced by the parent's dependence table (as last
-/// writer / reader), by predecessor successor-lists, and by the task itself,
-/// so a completed task's node stays valid for edges that later siblings
-/// still draw against it.
+/// Dependence-graph node of one task (libomp's kmp_depnode analogue),
+/// pooled like Task. Intrusively reference-counted: the task holds one
+/// reference (an undeferred task's creator holds it instead), and so does
+/// each slot of the parent's dependence table that names the node — its
+/// last writer or one of its readers — so a completed task's node stays
+/// valid for edges that later siblings still draw against it.
 ///
 /// Lifecycle: the creator starts `npredecessors` at 1 (the creation
 /// reference) so a predecessor finishing mid-registration cannot release the
@@ -70,35 +242,119 @@ struct DepSpec {
 /// creator drops the creation reference; whoever decrements the count to
 /// zero — creator or last-finishing predecessor — owns the parked task and
 /// enqueues it.
+///
+/// Successor slots hold no reference: a successor cannot finish (nor its
+/// node die) before this node's completion decrements its count, and after
+/// that decrement the completer touches it only if it was the last one —
+/// when the successor's parked task still holds its node.
 struct DepNode {
+  static void* operator new(std::size_t) { return block_alloc(BlockKind::kDepNode); }
+  static void operator delete(void* p) noexcept {
+    block_free(BlockKind::kDepNode, p);
+  }
+
+  /// Successors that fit in the node; the rest spill to more_successors.
+  static constexpr i32 kInlineSuccessors = 4;
+
   std::atomic<i32> npredecessors{1};
+  /// References; the node frees itself when the last one is released.
+  std::atomic<i32> refs{1};
   /// The parked task awaiting release; null before parking, and consumed
   /// (exactly once, by the zero-decrementer) on release. Undeferred tasks
   /// never park: the encountering thread spins the count down and runs the
   /// body inline, leaving this null throughout.
   Task* task = nullptr;
-  /// Guards `done` + `successors` against the completion/registration race:
-  /// a predecessor may finish while the parent is still drawing edges to it.
+  /// Guards the successor list against the completion/registration race: a
+  /// predecessor may finish while the parent is still drawing edges to it.
   std::mutex mu;
-  bool done = false;
-  std::vector<std::shared_ptr<DepNode>> successors;
+  /// Set under `mu` once the task completed; later siblings skip the edge.
+  /// Also read without the lock (acquire), by the creator pruning finished
+  /// nodes from its table.
+  std::atomic<bool> done{false};
+  i32 nsuccessors = 0;
+  DepNode* successors[kInlineSuccessors] = {};
+  PoolVector<DepNode*> more_successors;
+
+  /// Appends an edge; caller holds `mu` and saw `done` false.
+  void add_successor(DepNode* succ) {
+    if (nsuccessors < kInlineSuccessors) {
+      successors[nsuccessors] = succ;
+    } else {
+      more_successors.push_back(succ);
+    }
+    ++nsuccessors;
+  }
+
+  bool finished() const { return done.load(std::memory_order_acquire); }
+};
+
+/// Owning reference to a DepNode (intrusive, no control block).
+class NodeRef {
+ public:
+  NodeRef() = default;
+  /// A fresh node; the reference adopts its initial count.
+  static NodeRef make() { return NodeRef(new DepNode()); }
+
+  NodeRef(const NodeRef& other) : node_(other.node_) {
+    if (node_ != nullptr) node_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  NodeRef(NodeRef&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
+  NodeRef& operator=(NodeRef other) noexcept {
+    std::swap(node_, other.node_);
+    return *this;
+  }
+  ~NodeRef() { reset(); }
+
+  void reset() noexcept {
+    DepNode* node = std::exchange(node_, nullptr);
+    if (node != nullptr &&
+        node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete node;
+    }
+  }
+
+  DepNode* get() const { return node_; }
+  DepNode* operator->() const { return node_; }
+  DepNode& operator*() const { return *node_; }
+  explicit operator bool() const { return node_ != nullptr; }
+
+ private:
+  explicit NodeRef(DepNode* node) : node_(node) {}
+  DepNode* node_ = nullptr;
 };
 
 /// Per-address dependence state in a parent's table: the node of the last
-/// out/inout task and the in-tasks that read since.
+/// out/inout task and the in-tasks that read since. Finished nodes are
+/// pruned as the creator goes (a finished writer when the entry is touched,
+/// finished readers when the reader list fills up), so the entry holds the
+/// live wavefront rather than every reader since the last writer.
 struct DepEntry {
-  std::shared_ptr<DepNode> last_out;
-  std::vector<std::shared_ptr<DepNode>> readers;
+  NodeRef last_out;
+  PoolVector<NodeRef> readers;
+
+  /// Drops last_out once its task finished: it imposes no edge any more.
+  void drop_finished_writer() {
+    if (last_out && last_out->finished()) last_out.reset();
+  }
+
+  /// Appends a reader. A full list first drops its finished readers, and
+  /// grows anyway when that frees less than half of it, so each append
+  /// costs amortised O(1).
+  void add_reader(NodeRef node);
 };
 
 /// Hash table mapping depend addresses to their dependence state. Only ever
 /// touched by the thread executing the owning (parent) task — sibling
 /// creation is serialised by the parent — so it is deliberately unlocked.
 /// Sized lazily (see TaskContext::dep_table): the zero-dependence path never
-/// allocates it, and taskwait clears it once all children (hence all
-/// registered nodes) are complete, so it tracks the live wavefront rather
-/// than the whole task history.
-using DepTable = std::unordered_map<const void*, DepEntry>;
+/// allocates it. Between synchronisation points its entries hold only
+/// unfinished nodes plus a bounded tail of finished ones (DepEntry pruning);
+/// taskwait and full barriers retire the whole table once every child is
+/// complete.
+using DepTable =
+    std::unordered_map<const void*, DepEntry, std::hash<const void*>,
+                       std::equal_to<const void*>,
+                       PoolAllocator<std::pair<const void* const, DepEntry>>>;
 
 /// Execution context shared by implicit tasks (one per team member) and
 /// explicit tasks. Tracks outstanding children for taskwait, the innermost
@@ -127,7 +383,12 @@ struct TaskContext {
 };
 
 struct Task {
-  std::function<void()> body;
+  static void* operator new(std::size_t) { return block_alloc(BlockKind::kTask); }
+  static void operator delete(void* p) noexcept {
+    block_free(BlockKind::kTask, p);
+  }
+
+  TaskBody body;
   TaskContext ctx;           ///< context for code running inside this task
   TaskContext* parent = nullptr;
   TaskGroup* group = nullptr;
@@ -137,8 +398,12 @@ struct Task {
   i32 priority = 0;
   /// Dependence node, only for tasks created with depend clauses. Keeps the
   /// node alive until the task completes and releases its successors.
-  std::shared_ptr<DepNode> depnode;
+  NodeRef depnode;
 };
+
+/// Depend clauses a task creation handles without allocating (the C ABI's
+/// DepSpec copy, Team's duplicate-address merge); more take one heap array.
+inline constexpr std::size_t kStackDeps = 8;
 
 /// Creation-time options for Team::task_create_ex. Plain task_create remains
 /// the zero-dependence fast path.
@@ -278,14 +543,18 @@ class TaskPool {
   /// task back when the bounded deque is full, in which case the caller MUST
   /// execute it inline (without touching the outstanding count) — dropping
   /// the rejected task would strand its parent/group counters forever.
-  [[nodiscard]] std::unique_ptr<Task> push(i32 tid, std::unique_ptr<Task> task);
+  /// `was_empty`, when non-null, is set to whether this push took queued()
+  /// from 0 to 1: the one transition that wakes a parked waiter.
+  [[nodiscard]] std::unique_ptr<Task> push(i32 tid, std::unique_ptr<Task> task,
+                                           bool* was_empty = nullptr);
 
   /// Enqueues `task` on member `target`'s mailbox — the cross-member
   /// placement path. Unbounded, so unlike push() it never rejects. The task
   /// is stealable like any queued task: take() scans victims' mailboxes as
   /// well as their deques, so a task mailed to a member that never becomes
-  /// idle cannot strand a taskgroup/taskwait/barrier waiter.
-  void push_remote(i32 target, std::unique_ptr<Task> task);
+  /// idle cannot strand a taskgroup/taskwait/barrier waiter. Returns whether
+  /// this push took queued() from 0 to 1 (see push()).
+  bool push_remote(i32 target, std::unique_ptr<Task> task);
 
   /// Pops from `tid`'s own deque (LIFO), then its own mailbox, then steals
   /// from siblings — nearest-first per the installed victim order, or a

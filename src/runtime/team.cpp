@@ -792,12 +792,14 @@ void Team::ordered_exit(ThreadState& ts, i64 index) {
   ordered_next_.store(index + 1, std::memory_order_release);
 }
 
-void Team::run_task_inline(ThreadState& ts, std::function<void()>& body,
+void Team::run_task_inline(ThreadState& ts, TaskBodyRef source,
                            bool final_ctx) {
   // Undeferred (if(false)), included (final-descendant) and serial-team
   // tasks run immediately in a fresh context so nested taskwait / taskgroup
   // / depend clauses still behave.
   trace_emit(TraceEv::kTaskCreate, /*deferred=*/0);
+  TaskBody body;
+  source.place_into(body);
   TaskContext inline_ctx;
   inline_ctx.group = ts.current_task->group;
   inline_ctx.in_final = final_ctx;
@@ -810,29 +812,32 @@ void Team::run_task_inline(ThreadState& ts, std::function<void()>& body,
   while (inline_ctx.children.load(std::memory_order_acquire) > 0) {
     if (!run_one_task(ts)) backoff.pause();
   }
+  body.reset();
   ts.current_task = saved;
   trace_emit(TraceEv::kTaskComplete);
   ts.counters->add(Metric::kTasksExecuted);
 }
 
 void Team::enqueue_task(ThreadState& ts, std::unique_ptr<Task> task) {
-  if (auto rejected = tasks_.push(ts.tid, std::move(task))) {
+  bool was_empty = false;
+  if (auto rejected = tasks_.push(ts.tid, std::move(task), &was_empty)) {
     // Bounded deque full: run at the creation/release point (a legal task
     // scheduling point), which throttles runaway producers and — through
     // execute_task — still releases the rejected task's own successors.
     execute_task(ts, std::move(rejected), /*counted=*/false);
     return;
   }
-  // Wake join-barrier waiters parked past their doorbell grace so a late
-  // task burst still gets helpers; one seq_cst load when nobody is parked.
-  bar_gate_.wake_all();
+  // Wake one join-barrier waiter parked past its doorbell grace, and only
+  // when this task made the queue non-empty: the woken waiter helps until
+  // the queue drains again, so a burst costs one wake rather than a lock
+  // and a notify_all per task. One seq_cst load when nobody is parked.
+  if (was_empty) bar_gate_.wake_one();
 }
 
-std::unique_ptr<Task> Team::new_task(ThreadState& ts,
-                                     std::function<void()> body,
+std::unique_ptr<Task> Team::new_task(ThreadState& ts, TaskBodyRef body,
                                      i32 priority) {
   auto task = std::make_unique<Task>();
-  task->body = std::move(body);
+  body.place_into(task->body);
   task->parent = ts.current_task;
   task->group = ts.current_task->group;
   // priority clauses clamp into [0, max-task-priority-var] (OpenMP 5.2
@@ -847,8 +852,7 @@ std::unique_ptr<Task> Team::new_task(ThreadState& ts,
   return task;
 }
 
-void Team::task_create(ThreadState& ts, std::function<void()> body,
-                       bool deferred) {
+void Team::task_create(ThreadState& ts, TaskBodyRef body, bool deferred) {
   ZOMP_CHECK(ts.team == this, "task created from non-member thread");
   const bool in_final = ts.current_task->in_final;
   // Graceful degradation: an injected allocation failure downgrades the task
@@ -860,10 +864,10 @@ void Team::task_create(ThreadState& ts, std::function<void()> body,
     run_task_inline(ts, body, in_final);
     return;
   }
-  enqueue_task(ts, new_task(ts, std::move(body), /*priority=*/0));
+  enqueue_task(ts, new_task(ts, body, /*priority=*/0));
 }
 
-void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
+void Team::task_create_ex(ThreadState& ts, TaskBodyRef body,
                           const TaskOpts& opts) {
   ZOMP_CHECK(ts.team == this, "task created from non-member thread");
   const bool final_task = opts.final || ts.current_task->in_final;
@@ -875,7 +879,7 @@ void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
       run_task_inline(ts, body, final_task);
       return;
     }
-    enqueue_task(ts, new_task(ts, std::move(body), opts.priority));
+    enqueue_task(ts, new_task(ts, body, opts.priority));
     return;
   }
 
@@ -885,7 +889,7 @@ void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
   // predecessors completing concurrently).
   TaskContext& parent = *ts.current_task;
   DepTable& table = parent.dep_table();
-  auto node = std::make_shared<DepNode>();
+  NodeRef node = NodeRef::make();
 
   // Merge duplicate addresses first (depend(in: x) + depend(out: x) on one
   // task acts as inout) so a task never draws an edge to its own node.
@@ -893,40 +897,43 @@ void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
     const void* addr;
     bool writes;
   };
-  std::vector<MergedDep> merged;
-  merged.reserve(static_cast<std::size_t>(opts.ndeps));
+  SmallArray<MergedDep, kStackDeps> merged(static_cast<std::size_t>(opts.ndeps));
+  i32 nmerged = 0;
   for (i32 i = 0; i < opts.ndeps; ++i) {
     const DepSpec& d = opts.deps[i];
     const bool writes = d.kind != DepKind::kIn;
     bool found = false;
-    for (auto& m : merged) {
-      if (m.addr == d.addr) {
-        m.writes = m.writes || writes;
+    for (i32 j = 0; j < nmerged; ++j) {
+      if (merged[j].addr == d.addr) {
+        merged[j].writes = merged[j].writes || writes;
         found = true;
         break;
       }
     }
-    if (!found) merged.push_back(MergedDep{d.addr, writes});
+    if (!found) merged[nmerged++] = MergedDep{d.addr, writes};
   }
 
-  auto link = [&](const std::shared_ptr<DepNode>& pred) {
-    const std::lock_guard<std::mutex> lock(pred->mu);
-    if (pred->done) return;  // completed predecessors impose nothing
-    pred->successors.push_back(node);
+  auto link = [&](DepNode& pred) {
+    const std::lock_guard<std::mutex> lock(pred.mu);
+    // Completed predecessors impose nothing.
+    if (pred.done.load(std::memory_order_relaxed)) return;
+    pred.add_successor(node.get());
     node->npredecessors.fetch_add(1, std::memory_order_relaxed);
   };
-  for (const MergedDep& m : merged) {
+  for (i32 j = 0; j < nmerged; ++j) {
+    const MergedDep& m = merged[j];
     DepEntry& entry = table[m.addr];
+    entry.drop_finished_writer();
     if (m.writes) {
       // out/inout: after the last writer and every reader since it.
-      if (entry.last_out) link(entry.last_out);
-      for (const auto& r : entry.readers) link(r);
+      if (entry.last_out) link(*entry.last_out);
+      for (const NodeRef& r : entry.readers) link(*r);
       entry.readers.clear();
       entry.last_out = node;
     } else {
       // in: after the last writer only; readers run concurrently.
-      if (entry.last_out) link(entry.last_out);
-      entry.readers.push_back(node);
+      if (entry.last_out) link(*entry.last_out);
+      entry.add_reader(node);
     }
   }
 
@@ -950,26 +957,29 @@ void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
     return;
   }
 
-  auto task = new_task(ts, std::move(body), opts.priority);
-  task->depnode = node;
+  auto task = new_task(ts, body, opts.priority);
+  DepNode& parked = *node;
+  task->depnode = std::move(node);
   // Park before dropping the creation reference: whoever decrements the
   // count to zero — us, when every predecessor already finished, or the
   // last-finishing predecessor — owns the task and enqueues it exactly once.
-  node->task = task.release();
-  if (node->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::unique_ptr<Task> ready(std::exchange(node->task, nullptr));
+  // Once our decrement leaves the count above zero, the task may run and
+  // free the node at any moment, so only the zero-decrementer touches it.
+  parked.task = task.release();
+  if (parked.npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    std::unique_ptr<Task> ready(std::exchange(parked.task, nullptr));
     enqueue_task(ts, std::move(ready));
   }
 }
 
 void Team::complete_depnode(ThreadState& ts, DepNode& node) {
-  std::vector<std::shared_ptr<DepNode>> successors;
   {
     const std::lock_guard<std::mutex> lock(node.mu);
-    node.done = true;  // later siblings skip the edge entirely
-    successors.swap(node.successors);
+    node.done.store(true, std::memory_order_release);
   }
-  for (const auto& succ : successors) {
+  // `done` closed the successor list (creators append only under the lock
+  // and only while it is false), so it is read here without the lock.
+  auto release = [&](DepNode* succ) {
     if (succ->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last predecessor: the acquire above pairs with the creator's release
       // drop of the creation reference, ordering its `task` store before
@@ -978,7 +988,10 @@ void Team::complete_depnode(ThreadState& ts, DepNode& node) {
       std::unique_ptr<Task> ready(std::exchange(succ->task, nullptr));
       if (ready) enqueue_task(ts, std::move(ready));
     }
-  }
+  };
+  const i32 inline_count = std::min(node.nsuccessors, DepNode::kInlineSuccessors);
+  for (i32 i = 0; i < inline_count; ++i) release(node.successors[i]);
+  for (DepNode* succ : node.more_successors) release(succ);
 }
 
 void Team::execute_task(ThreadState& ts, std::unique_ptr<Task> task,
@@ -1007,6 +1020,11 @@ void Team::execute_task(ThreadState& ts, std::unique_ptr<Task> task,
       backoff.pause();
     }
   }
+  // The captures die before anything below can let a waiter go:
+  // taskwait, taskgroup_end, the barriers and dependent successors all key
+  // on the completion steps that follow, and a capture's destructor is part
+  // of the task.
+  task->body.reset();
   ts.current_task = saved;
   trace_emit(TraceEv::kTaskComplete, discarded ? 1 : 0);
   ts.counters->add(Metric::kTasksExecuted);
@@ -1070,9 +1088,9 @@ void Team::taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize,
     } else {
       chunks = std::min<i64>(trips, i64{size()} * kTaskloopChunksPerMember);
     }
-    // One shared copy of the body: chunk tasks only read it.
-    auto body = std::make_shared<std::function<void(i64, i64)>>(
-        std::move(chunk_body));
+    // Chunk tasks share `chunk_body` by pointer: they only read it, and
+    // the implicit taskgroup keeps it alive until every chunk completed.
+    const std::function<void(i64, i64)>* body = &chunk_body;
     const i64 base = trips / chunks;
     const i64 rem = trips % chunks;
     // Place-aware spray (DESIGN.md S1.9): on a multi-place team the chunk
@@ -1090,11 +1108,9 @@ void Team::taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize,
       const i64 clo = start;
       const i64 chi = start + len;
       start = chi;
-      std::function<void()> chunk_task = [body, clo, chi] {
-        (*body)(clo, chi);
-      };
+      auto chunk_task = [body, clo, chi] { (*body)(clo, chi); };
       if (!spray) {
-        task_create(ts, std::move(chunk_task));
+        task_create(ts, chunk_task);
         continue;
       }
       const i32 shard = static_cast<i32>(c % sm.nshards);
@@ -1105,13 +1121,12 @@ void Team::taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize,
           fault_should_fail(FaultSite::kAlloc)) {
         // Same-degradation spray: an injected failure keeps the chunk local
         // (task_create's own fault check then decides deferred vs inline).
-        task_create(ts, std::move(chunk_task));
-      } else {
-        tasks_.push_remote(target, new_task(ts, std::move(chunk_task),
-                                            /*priority=*/0));
-        // Wake parked join-barrier waiters, mirroring enqueue_task: the
+        task_create(ts, chunk_task);
+      } else if (tasks_.push_remote(
+                     target, new_task(ts, chunk_task, /*priority=*/0))) {
+        // Wake a parked join-barrier waiter, mirroring enqueue_task: the
         // mailed task is their work too (own-mailbox pull or steal).
-        bar_gate_.wake_all();
+        bar_gate_.wake_one();
       }
     }
   }

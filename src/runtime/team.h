@@ -7,6 +7,7 @@
 // in, its id, its data environment (ICVs), and its worksharing cursors.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -312,16 +313,14 @@ class Team {
   /// Creates (or, for size-1 teams, `if(false)` tasks and descendants of
   /// final tasks, runs inline) an explicit task whose body is `body`. This is
   /// the zero-dependence fast path; depend/final/priority go through
-  /// task_create_ex.
-  void task_create(ThreadState& ts, std::function<void()> body,
-                   bool deferred = true);
+  /// task_create_ex. The body is constructed in the task's block (task.h).
+  void task_create(ThreadState& ts, TaskBodyRef body, bool deferred = true);
 
   /// Full-featured task creation: depend(in/out/inout) edges against the
   /// current task's dependence table, if(false)/final undeferred execution
   /// (after dependences are satisfied), priority recording. With
   /// opts.ndeps == 0 this degrades to exactly the task_create fast path.
-  void task_create_ex(ThreadState& ts, std::function<void()> body,
-                      const TaskOpts& opts);
+  void task_create_ex(ThreadState& ts, TaskBodyRef body, const TaskOpts& opts);
 
   /// `taskloop`: splits [lo, hi) into chunk tasks and runs `chunk_body(clo,
   /// chi)` as one task per chunk inside an implicit taskgroup (returns when
@@ -411,25 +410,25 @@ class Team {
   /// Runs a task body with full parent/group accounting. `counted` says the
   /// task went through the pool (and must decrement `outstanding`); tasks
   /// that overflowed the bounded deque run inline with counted == false.
+  /// The body is destroyed before any waiter can see the task complete.
   void execute_task(ThreadState& ts, std::unique_ptr<Task> task,
                     bool counted = true);
 
   /// Runs `body` undeferred at the creation point in a fresh task context
   /// (the if(false)/final/serial-team path).
-  void run_task_inline(ThreadState& ts, std::function<void()>& body,
-                       bool final_ctx);
+  void run_task_inline(ThreadState& ts, TaskBodyRef body, bool final_ctx);
 
   /// Builds a deferred task and links it into the parent/group counts — the
   /// one place Task construction and accounting live, shared by the fast
   /// path, the with-clauses path, and the dependence path (which parks the
   /// result instead of enqueueing it).
-  std::unique_ptr<Task> new_task(ThreadState& ts, std::function<void()> body,
+  std::unique_ptr<Task> new_task(ThreadState& ts, TaskBodyRef body,
                                  i32 priority);
 
-  /// Publishes a ready task: pushes onto `ts`'s deque (waking parked join
-  /// waiters so they can help) or, when the bounded deque is full, executes
-  /// it inline — a legal task scheduling point that also releases the
-  /// rejected task's own successors.
+  /// Publishes a ready task: pushes onto `ts`'s deque or, when the bounded
+  /// deque is full, executes it inline — a legal task scheduling point that
+  /// also releases the rejected task's own successors. A push that finds
+  /// the queue empty wakes one parked barrier waiter to help (S1.4).
   void enqueue_task(ThreadState& ts, std::unique_ptr<Task> task);
 
   /// Marks `node` complete and releases its successors: each successor whose
@@ -482,8 +481,10 @@ class Team {
   alignas(kCacheLine) std::atomic<i32> cancel_request_{0};
   /// Condvar park for join-barrier waiters that outlasted the doorbell grace
   /// (ROADMAP "barrier waiters never condvar-park" item; protocol in
-  /// barrier.h). Woken by the epoch flip and by task enqueues, so parked
-  /// waiters still help with late task bursts.
+  /// barrier.h). Woken (all) by the epoch flip and a parallel cancel, and
+  /// (one) by a task landing in an empty queue, so parked waiters still help
+  /// with late task bursts. Every predicate parked here includes
+  /// `tasks_.queued() > 0`, which is what makes wake_one sound.
   WaitGate bar_gate_;
 
   DispatchSlot dispatch_ring_[kDispatchRing];
