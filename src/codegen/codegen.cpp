@@ -535,6 +535,10 @@ class Emitter {
         break;
       }
       case Stmt::Kind::kOmpReductionInit:
+        if (stmt.section_len > 0) {
+          emit_section_init(stmt);
+          break;
+        }
         line() << cpp_type(stmt.symbol->type) << ' ' << var_name(stmt.symbol)
                << " = " << identity_text(stmt.reduce_op, stmt.symbol->type)
                << ';';
@@ -1178,7 +1182,13 @@ class Emitter {
     const std::string pack = fresh("redpack");
     line() << "struct " << pack << "_t {";
     for (std::size_t i = 0; i < run.size(); ++i) {
-      out_ << ' ' << cpp_type(run[i]->symbol->type) << " v" << i << ';';
+      const Stmt& s = *run[i];
+      if (s.section_len > 0) {
+        out_ << ' ' << cpp_type(s.symbol->type.element()) << " v" << i << '['
+             << s.section_len << "];";
+      } else {
+        out_ << ' ' << cpp_type(s.symbol->type) << " v" << i << ';';
+      }
     }
     out_ << " };\n";
     line() << "struct " << pack << "_s { static void run(void* __a, "
@@ -1191,35 +1201,78 @@ class Emitter {
     out_ << '\n';
     for (std::size_t i = 0; i < run.size(); ++i) {
       const std::string field = "v" + std::to_string(i);
-      line() << combine_text(run[i]->reduce_op, "__x->" + field,
-                             "__y->" + field)
-             << ';';
-      out_ << '\n';
+      emit_field_combine(*run[i], "__x->" + field, "__y->" + field);
     }
     close();
     line() << "} };";
     out_ << '\n';
+    // An array field cannot be brace-initialised from the private array:
+    // a section's field starts as {} and is copied in element-wise.
     line() << pack << "_t " << pack << "{";
     for (std::size_t i = 0; i < run.size(); ++i) {
       if (i > 0) out_ << ", ";
-      out_ << var_name(run[i]->symbol);
+      out_ << (run[i]->section_len > 0 ? "{}" : var_name(run[i]->symbol));
     }
     out_ << "};\n";
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const Stmt& s = *run[i];
+      if (s.section_len == 0) continue;
+      line() << section_loop(s) << pack << ".v" << i << "[__k] = "
+             << var_name(s.symbol) << "__priv[__k];";
+      out_ << '\n';
+    }
     line() << "if (zomp_reduce(&" << loc << ", __gtid, &" << pack
            << ", sizeof(" << pack << "), &" << pack << "_s::run)) {";
     out_ << '\n';
     open();
     for (std::size_t i = 0; i < run.size(); ++i) {
-      line() << combine_text(run[i]->reduce_op, var_name(run[i]->target_symbol),
-                             pack + ".v" + std::to_string(i))
-             << ';';
-      out_ << '\n';
+      emit_field_combine(*run[i], var_name(run[i]->target_symbol),
+                         pack + ".v" + std::to_string(i));
     }
     close();
     line() << "}";
     out_ << '\n';
     close();
     line() << "}";
+    out_ << '\n';
+  }
+
+  /// `for (...; __k < len; ++__k) ` heading a section's element loop.
+  static std::string section_loop(const Stmt& s) {
+    return "for (std::int64_t __k = 0; __k < " +
+           std::to_string(s.section_len) + "; ++__k) ";
+  }
+
+  /// Folds one reduction item of `local` into `target` (a section folds
+  /// element-wise over its first section_len elements).
+  void emit_field_combine(const Stmt& s, const std::string& target,
+                          const std::string& local) {
+    if (s.section_len > 0) {
+      line() << section_loop(s)
+             << combine_text(s.reduce_op, target + "[__k]", local + "[__k]")
+             << ';';
+    } else {
+      line() << combine_text(s.reduce_op, target, local) << ';';
+    }
+    out_ << '\n';
+  }
+
+  /// A section's private copy: a len-element array on the member's stack,
+  /// filled with the operator's identity, and a const slice view named like
+  /// the variable, so the body's q[i] (bounds-checked under --safe) and the
+  /// pack both reach the array while its address never leaves the frame.
+  void emit_section_init(const Stmt& stmt) {
+    const Type elem = stmt.symbol->type.element();
+    const std::string priv = var_name(stmt.symbol) + "__priv";
+    line() << cpp_type(elem) << ' ' << priv << '[' << stmt.section_len
+           << "];";
+    out_ << '\n';
+    line() << section_loop(stmt) << priv
+           << "[__k] = " << identity_text(stmt.reduce_op, elem) << ';';
+    out_ << '\n';
+    line() << "const " << cpp_type(stmt.symbol->type) << ' '
+           << var_name(stmt.symbol) << "{" << priv << ", "
+           << stmt.section_len << "};";
     out_ << '\n';
   }
 

@@ -42,9 +42,14 @@ constexpr bool directive_is_standalone(DirectiveKind kind) {
          kind == DirectiveKind::kCancellationPoint;
 }
 
+/// One reduction(op: list) clause. A list item is a variable name or an
+/// array section `name[0:len]` / `name[:len]` (OpenMP's [lower-bound :
+/// length] form) with a literal length; `vars` holds the names (a section's
+/// base name) and `section_lens` the matching lengths, 0 for a scalar item.
 struct ReductionClause {
   lang::ReduceOp op = lang::ReduceOp::kAdd;
   std::vector<std::string> vars;
+  std::vector<int> section_lens;
 };
 
 /// One depend(kind: list) clause on a task. The list items are lvalue

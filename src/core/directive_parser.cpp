@@ -1,5 +1,6 @@
 #include "core/directive_parser.h"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -39,9 +40,12 @@ namespace {
 /// its own once it has been carved out of the comment).
 class ClauseParser {
  public:
-  ClauseParser(std::vector<Token> tokens, lang::SourceLoc loc,
-               lang::Diagnostics& diags)
-      : tokens_(std::move(tokens)), loc_(loc), diags_(diags) {}
+  ClauseParser(std::vector<Token> tokens, std::string payload,
+               lang::SourceLoc loc, lang::Diagnostics& diags)
+      : tokens_(std::move(tokens)),
+        payload_(std::move(payload)),
+        loc_(loc),
+        diags_(diags) {}
 
   std::unique_ptr<Directive> parse() {
     auto directive = std::make_unique<Directive>();
@@ -265,11 +269,7 @@ class ClauseParser {
     ++i;
     std::vector<Token> rest(arg.begin() + static_cast<std::ptrdiff_t>(i), arg.end());
     for (const auto& group : split_commas(std::move(rest))) {
-      if (group.size() != 1 || !group[0].is(TokenKind::kIdentifier)) {
-        error("expected variable names after ':' in reduction");
-        return false;
-      }
-      clause.vars.push_back(group[0].text);
+      if (!parse_reduction_item(group, clause)) return false;
     }
     if (clause.vars.empty()) {
       error("reduction clause lists no variables");
@@ -277,6 +277,62 @@ class ClauseParser {
     }
     d.reductions.push_back(std::move(clause));
     return true;
+  }
+
+  /// One reduction list item: `name`, or the array section `name[lo:len]`
+  /// / `name[:len]`. The lower bound must be the literal 0 (or omitted) and
+  /// the length an integer literal in [1, kMaxSectionLength].
+  bool parse_reduction_item(const std::vector<Token>& group,
+                            ReductionClause& clause) {
+    if (group.size() == 1 && group[0].is(TokenKind::kIdentifier)) {
+      clause.vars.push_back(group[0].text);
+      clause.section_lens.push_back(0);
+      return true;
+    }
+    if (group.size() < 4 || !group[0].is(TokenKind::kIdentifier) ||
+        !group[1].is(TokenKind::kLBracket) ||
+        !group.back().is(TokenKind::kRBracket)) {
+      error("expected variable names or array sections 'name[0:len]' after "
+            "':' in reduction");
+      return false;
+    }
+    const std::string item = "reduction(" +
+                             std::string(lang::reduce_op_spelling(clause.op)) +
+                             ": " + spelling(group) + ")";
+    const auto colon =
+        std::find_if(group.begin() + 2, group.end() - 1,
+                     [](const Token& t) { return t.is(TokenKind::kColon); });
+    if (colon == group.end() - 1) {
+      error(item + ": expected an array section 'name[0:len]'");
+      return false;
+    }
+    const std::vector<Token> lower(group.begin() + 2, colon);
+    const std::vector<Token> length(colon + 1, group.end() - 1);
+    if (!lower.empty() && (lower.size() != 1 ||
+                           !lower[0].is(TokenKind::kIntLiteral) ||
+                           lower[0].int_value != 0)) {
+      error(item + ": the array section's lower bound must be the literal 0");
+      return false;
+    }
+    if (length.size() != 1 || !length[0].is(TokenKind::kIntLiteral) ||
+        length[0].int_value < 1 ||
+        length[0].int_value > kMaxSectionLength) {
+      error(item + ": the array section's length must be an integer literal "
+                   "from 1 to " + std::to_string(kMaxSectionLength));
+      return false;
+    }
+    clause.vars.push_back(group[0].text);
+    clause.section_lens.push_back(static_cast<int>(length[0].int_value));
+    return true;
+  }
+
+  /// The payload text a run of tokens was lexed from.
+  std::string spelling(const std::vector<Token>& group) const {
+    const Token& last = group.back();
+    const std::size_t begin = group.front().loc.offset;
+    const std::size_t end =
+        last.loc.offset + std::max<std::size_t>(1, last.text.size());
+    return payload_.substr(begin, end - begin);
   }
 
   bool parse_schedule(Directive& d) {
@@ -573,7 +629,12 @@ class ClauseParser {
   /// synthesized prolog (4 locals per dimension) honest.
   static constexpr std::int64_t kMaxCollapseDepth = 7;
 
+  /// Each member's private copy of a reduction array section, and its field
+  /// in the reduction pack, both live on the member's stack.
+  static constexpr std::int64_t kMaxSectionLength = 1024;
+
   std::vector<Token> tokens_;
+  std::string payload_;
   std::size_t pos_ = 0;
   lang::SourceLoc loc_;
   lang::Diagnostics& diags_;
@@ -596,7 +657,7 @@ std::unique_ptr<Directive> parse_directive(const std::string& text,
     diags.error(loc, "malformed '#omp' directive text");
     return nullptr;
   }
-  ClauseParser parser(std::move(tokens), loc, diags);
+  ClauseParser parser(std::move(tokens), text, loc, diags);
   return parser.parse();
 }
 

@@ -615,10 +615,10 @@ class FusePass : public Pass {
   ///   * equal team shape: num_threads both absent or equal literals,
   ///     if-clause absent on both, proc_bind equal;
   ///   * a variable captured by both regions must use the same mode (and
-  ///     reduce op) in each — this is what rejects the nowait-unsafe
-  ///     boundaries: a by-value read in region 2 of a variable region 1
-  ///     writes through a shared/reduction pointer (lastprivate writeback,
-  ///     reduction results) shows up as a mode mismatch;
+  ///     reduce op and section length) in each — this is what rejects the
+  ///     nowait-unsafe boundaries: a by-value read in region 2 of a variable
+  ///     region 1 writes through a shared/reduction pointer (lastprivate
+  ///     writeback, reduction results) shows up as a mode mismatch;
   ///   * a variable captured by value in both must not be written by body 1
   ///     (the fused function has ONE parameter for it: region 2's private
   ///     copy would otherwise observe region 1's writes);
@@ -655,7 +655,8 @@ class FusePass : public Pass {
       if (it == first.end()) continue;
       const CaptureArg& f = *it->second;
       if (f.mode != c.mode) return false;
-      if (c.mode == CaptureMode::kReductionPtr && f.reduce_op != c.reduce_op) {
+      if (c.mode == CaptureMode::kReductionPtr &&
+          (f.reduce_op != c.reduce_op || f.section_len != c.section_len)) {
         return false;
       }
       if (c.mode == CaptureMode::kValue &&

@@ -139,14 +139,10 @@ class Renamer {
   bool shadowed_ = false;
 };
 
-/// red_pack value for combine #i of a run of n (see Stmt::red_pack): each
-/// pack's head carries its length, the rest 0. Runs longer than the
-/// interpreter's fixed pack payload (16 entries) split into consecutive
-/// packs of at most 16 — one rendezvous each.
-int pack_len(std::size_t i, std::size_t n) {
-  constexpr std::size_t kMaxPack = 16;
-  if (i % kMaxPack != 0) return 0;
-  return static_cast<int>(std::min(kMaxPack, n - i));
+/// red_pack value for combine #i of a construct's run of n (see
+/// Stmt::red_pack): the head carries the run length, the rest 0.
+int run_length(std::size_t i, std::size_t n) {
+  return i == 0 ? static_cast<int>(n) : 0;
 }
 
 lang::ScheduleSpec clone_schedule(const lang::ScheduleSpec& spec) {
@@ -413,6 +409,7 @@ class Transformer {
     // Classify every capture against the data-sharing clauses.
     std::unordered_map<std::string, CaptureMode> mode;
     std::unordered_map<std::string, ReduceOp> red_op;
+    std::unordered_map<std::string, int> section_len;
     for (const auto& n : d.private_vars) mode[n] = CaptureMode::kValue;
     for (const auto& n : d.firstprivate_vars) mode[n] = CaptureMode::kValue;
     for (const auto& n : d.shared_vars) {
@@ -422,12 +419,14 @@ class Transformer {
       mode[n] = CaptureMode::kSharedPtr;
     }
     for (const auto& r : d.reductions) {
-      for (const auto& n : r.vars) {
+      for (std::size_t j = 0; j < r.vars.size(); ++j) {
+        const std::string& n = r.vars[j];
         if (mode.contains(n)) {
           error(d.loc, "reduction variable '" + n + "' also appears in another clause");
         }
         mode[n] = CaptureMode::kReductionPtr;
         red_op[n] = r.op;
+        section_len[n] = r.section_lens[j];
       }
     }
     for (const auto& n : captured) {
@@ -452,21 +451,23 @@ class Transformer {
       init->name = n;
       init->target = n + "__red";
       init->reduce_op = red_op[n];
+      init->section_len = section_len[n];
+      if (init->section_len > 0) section_privates_[outlined][n] = n;
       body->stmts.push_back(std::move(init));
     }
     body->stmts.push_back(std::move(region));
     // All of the construct's combines are emitted adjacently and the first
     // carries the run length: backends pack the run into ONE zomp_reduce
     // rendezvous (struct payload, one barrier-equivalent for k variables —
-    // see runtime/reduce.h). Runs past the pack cap split into several
-    // packs, which only bounds the interpreter's fixed payload.
+    // see runtime/reduce.h), whatever the number of variables and sections.
     for (std::size_t i = 0; i < reduction_names.size(); ++i) {
       const auto& n = reduction_names[i];
       auto combine = Stmt::make(Stmt::Kind::kOmpReductionCombine, d.loc);
       combine->name = n;
       combine->target = n + "__red";
       combine->reduce_op = red_op[n];
-      combine->red_pack = pack_len(i, reduction_names.size());
+      combine->section_len = section_len[n];
+      combine->red_pack = run_length(i, reduction_names.size());
       body->stmts.push_back(std::move(combine));
       // Region-end join barrier publishes the combined value.
     }
@@ -491,7 +492,10 @@ class Transformer {
       CaptureArg cap;
       cap.name = n;
       cap.mode = mode[n];
-      if (cap.mode == CaptureMode::kReductionPtr) cap.reduce_op = red_op[n];
+      if (cap.mode == CaptureMode::kReductionPtr) {
+        cap.reduce_op = red_op[n];
+        cap.section_len = section_len[n];
+      }
       fork->captures.push_back(std::move(cap));
     }
     if (d.num_threads) fork->num_threads = std::move(d.num_threads);
@@ -698,7 +702,6 @@ class Transformer {
   }
 
   StmtPtr lower_for(FnDecl* fn, Directive& d, StmtPtr loop) {
-    (void)fn;
     ++stats_.ws_loops;
     const bool standalone = d.kind == DirectiveKind::kFor;
 
@@ -743,6 +746,30 @@ class Transformer {
         }
       }
     }
+    // OpenMP's one-clause rule: a variable appears in at most one
+    // data-sharing clause, firstprivate with lastprivate being the one
+    // allowed pair. lower_parallel checks the region-level clauses of the
+    // combined form; lastprivate lives only here, and so do a standalone
+    // loop's reductions. A section counts under its base name.
+    const std::unordered_set<std::string> lastprivate(
+        d.lastprivate_vars.begin(), d.lastprivate_vars.end());
+    for (const auto& n : d.private_vars) {
+      if (lastprivate.contains(n)) {
+        error(d.loc, "variable '" + n +
+                         "' appears in multiple data-sharing clauses");
+      }
+    }
+    std::unordered_set<std::string> reduced;
+    for (const auto& r : d.reductions) {
+      for (const auto& n : r.vars) {
+        // A combined form's repeated reduction is lower_parallel's to report.
+        const bool first = reduced.insert(n).second;
+        if ((first && lastprivate.contains(n)) || (!first && standalone)) {
+          error(d.loc, "reduction variable '" + n +
+                           "' also appears in another clause");
+        }
+      }
+    }
     // Renames body references of `from` to the private copy `to`. The
     // loop-control expressions are excluded on purpose: bounds are evaluated
     // at construct entry against the *original* variable (renaming them
@@ -782,17 +809,20 @@ class Transformer {
       // accumulator, then the team's tree combine into the visible
       // variable, then a barrier (unless nowait).
       auto block = Stmt::make(Stmt::Kind::kBlock, d.loc);
-      std::vector<std::pair<std::string, ReduceOp>> combines;
+      std::vector<const Stmt*> inits;
       for (const auto& r : d.reductions) {
-        for (const auto& n : r.vars) {
+        for (std::size_t j = 0; j < r.vars.size(); ++j) {
+          const std::string& n = r.vars[j];
           const std::string priv = n + "__prv";
           auto init = Stmt::make(Stmt::Kind::kOmpReductionInit, d.loc);
           init->name = priv;
           init->target = n;
           init->reduce_op = r.op;
+          init->section_len = r.section_lens[j];
+          if (init->section_len > 0) section_privates_[fn][priv] = n;
+          inits.push_back(init.get());
           block->stmts.push_back(std::move(init));
           rename_in_body(n, priv);
-          combines.emplace_back(n, r.op);
         }
       }
       for (auto& p : prolog) block->stmts.push_back(std::move(p));
@@ -801,13 +831,14 @@ class Transformer {
       block->stmts.push_back(std::move(ws));
       // Adjacent combines, head carries the run length: one packed
       // rendezvous for the whole construct (see lower_parallel).
-      for (std::size_t i = 0; i < combines.size(); ++i) {
-        const auto& [n, op] = combines[i];
+      for (std::size_t i = 0; i < inits.size(); ++i) {
+        const Stmt& init = *inits[i];
         auto combine = Stmt::make(Stmt::Kind::kOmpReductionCombine, d.loc);
-        combine->name = n + "__prv";
-        combine->target = n;
-        combine->reduce_op = op;
-        combine->red_pack = pack_len(i, combines.size());
+        combine->name = init.name;
+        combine->target = init.target;
+        combine->reduce_op = init.reduce_op;
+        combine->section_len = init.section_len;
+        combine->red_pack = run_length(i, inits.size());
         block->stmts.push_back(std::move(combine));
       }
       if (!d.nowait) {
@@ -867,6 +898,19 @@ class Transformer {
     add_names(d.firstprivate_vars);
     add_names(d.private_vars);
     add_names(d.shared_vars);
+    // A deferred task may run after its member left the reduction
+    // construct, when the section's private array is gone.
+    if (const auto it = section_privates_.find(fn);
+        it != section_privates_.end()) {
+      for (const auto& n : captured) {
+        if (const auto sec = it->second.find(n); sec != it->second.end()) {
+          error(d.loc, "task cannot capture reduction section '" +
+                           sec->second +
+                           "' inside its construct: the task may outlive the "
+                           "member's private copy of the section");
+        }
+      }
+    }
 
     FnDecl* outlined = new_outlined_fn(fn, "task");
     for (const auto& n : captured) {
@@ -1020,6 +1064,11 @@ class Transformer {
   /// consulted when lowering tasks nested inside that function.
   std::unordered_map<const FnDecl*, std::unordered_map<std::string, CaptureMode>>
       outlined_modes_;
+  /// Private copies of reduction array sections, per function: private name
+  /// -> source name. A section's private array lives on the member's stack
+  /// until its construct's combine, so no task may capture it.
+  std::unordered_map<const FnDecl*, std::unordered_map<std::string, std::string>>
+      section_privates_;
   int counter_ = 0;
   int collapse_counter_ = 0;
   int taskloop_counter_ = 0;

@@ -96,14 +96,15 @@ Value combine_values(ReduceOp op, const Value& a, const Value& b,
 }
 
 /// Packed payload for team reductions (one rendezvous for a whole
-/// construct's reduction run, Stmt::red_pack; see runtime/reduce.h). The
+/// construct's reduction run, Stmt::red_pack; see runtime/reduce.h): one
+/// entry per scalar variable and per section element, in run order. The
 /// runtime tree memcpy's its slots, so Value (a variant with non-trivial
 /// alternatives) cannot ride in them directly; sema restricts reductions to
 /// i64/f64/bool, which all fit an entry. Entries are 16 bytes so up to 3
-/// variables still ride the inline tree slots; larger packs transparently
-/// take the tree's per-team fallback lock — either way the construct costs
-/// ONE rendezvous, not k. The deposited size is truncated to the live
-/// entries so the tree sees the smallest payload.
+/// still ride the inline tree slots; longer packs transparently take the
+/// tree's per-team fallback lock — either way the construct costs ONE
+/// rendezvous, whatever its length. The combine function learns the entry
+/// count through its ctx (every member passes its own, all equal).
 struct PackEntry {
   std::uint8_t tag = 0;  // 0 = i64, 1 = f64, 2 = bool
   std::uint8_t op = 0;   // lang::ReduceOp
@@ -113,18 +114,6 @@ struct PackEntry {
     bool b;
   } u{};
 };
-
-constexpr int kMaxPack = 16;  // mirrored by transform.cpp pack_len
-
-struct PackPod {
-  std::int32_t n = 0;
-  PackEntry e[kMaxPack];
-};
-
-constexpr std::size_t pack_size(int n) {
-  return offsetof(PackPod, e) +
-         static_cast<std::size_t>(n) * sizeof(PackEntry);
-}
 
 PackEntry to_pack_entry(const Value& v, ReduceOp op,
                         const lang::SourceLoc& loc) {
@@ -153,13 +142,14 @@ Value from_pack_entry(const PackEntry& e) {
   }
 }
 
-void pack_combine(void* /*ctx*/, void* lhs, const void* rhs) {
-  auto* a = static_cast<PackPod*>(lhs);
-  const auto* b = static_cast<const PackPod*>(rhs);
+void pack_combine(void* ctx, void* lhs, const void* rhs) {
+  const std::size_t n = *static_cast<const std::size_t*>(ctx);
+  auto* a = static_cast<PackEntry*>(lhs);
+  const auto* b = static_cast<const PackEntry*>(rhs);
   static const lang::SourceLoc kNoLoc{};
-  for (std::int32_t i = 0; i < a->n; ++i) {
-    PackEntry& x = a->e[i];
-    const PackEntry& y = b->e[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    PackEntry& x = a[i];
+    const PackEntry& y = b[i];
     const Value combined =
         combine_values(static_cast<ReduceOp>(y.op), from_pack_entry(x),
                        from_pack_entry(y), kNoLoc);
@@ -361,6 +351,15 @@ class Exec {
         return f;
       }
       case Stmt::Kind::kOmpReductionInit:
+        if (stmt.section_len > 0) {
+          // A fresh private slice of section_len identity values.
+          const Value identity =
+              identity_value(stmt.reduce_op, stmt.symbol->type.element());
+          bind(stmt.symbol,
+               Value(SliceVal{std::make_shared<std::vector<Value>>(
+                   static_cast<std::size_t>(stmt.section_len), identity)}));
+          return Flow::kNormal;
+        }
         bind(stmt.symbol, identity_value(stmt.reduce_op, stmt.symbol->type));
         return Flow::kNormal;
       case Stmt::Kind::kOmpReductionCombine:
@@ -393,26 +392,48 @@ class Exec {
   }
 
   /// The one reduction path: a construct's run of k >= 1 combines is one
-  /// team tree rendezvous (runtime/reduce.h). Every member deposits a
-  /// PackPod of its partials, the tree combines field-by-field (each with
-  /// its own operator), and the winner alone folds every field into its
-  /// shared target; the construct's ensuing barrier publishes the writes.
+  /// team tree rendezvous (runtime/reduce.h). Every member deposits a pack
+  /// of its partials (a section contributes one entry per element), the
+  /// tree combines entry-by-entry (each with its own operator), and the
+  /// winner alone folds every entry into its shared target; the construct's
+  /// ensuing barrier publishes the writes.
   void exec_reduce_pack(const std::vector<const Stmt*>& run) {
     rt::ThreadState& ts = rt::current_thread();
-    const int k = static_cast<int>(run.size());
-    PackPod pod;
-    pod.n = k;
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *run[static_cast<std::size_t>(i)];
-      pod.e[i] = to_pack_entry(*cell_of(s.symbol, s.loc), s.reduce_op, s.loc);
+    std::vector<PackEntry> pack;
+    for (const Stmt* s : run) {
+      const Value& local = *cell_of(s->symbol, s->loc);
+      if (s->section_len == 0) {
+        pack.push_back(to_pack_entry(local, s->reduce_op, s->loc));
+        continue;
+      }
+      for (const Value& v : *local.as_slice().data) {
+        pack.push_back(to_pack_entry(v, s->reduce_op, s->loc));
+      }
     }
-    if (ts.team->reduce_combine(ts, &pod, pack_size(k), &pack_combine,
-                                nullptr, /*broadcast=*/false)) {
-      for (int i = 0; i < k; ++i) {
-        const Stmt& s = *run[static_cast<std::size_t>(i)];
-        Cell target = cell_of(s.target_symbol, s.loc);
-        *target = combine_values(s.reduce_op, *target, from_pack_entry(pod.e[i]),
-                                 s.loc);
+    std::size_t n = pack.size();
+    if (!ts.team->reduce_combine(ts, pack.data(), n * sizeof(PackEntry),
+                                 &pack_combine, &n, /*broadcast=*/false)) {
+      return;
+    }
+    const PackEntry* entry = pack.data();
+    for (const Stmt* s : run) {
+      Value& target = *cell_of(s->target_symbol, s->loc);
+      if (s->section_len == 0) {
+        target = combine_values(s->reduce_op, target,
+                                from_pack_entry(*entry++), s->loc);
+        continue;
+      }
+      const SliceVal slice = target.as_slice();
+      if (slice.len() < s->section_len) {
+        panic(s->loc, "reduction section [0:" +
+                          std::to_string(s->section_len) +
+                          "] exceeds its slice of len " +
+                          std::to_string(slice.len()));
+      }
+      for (int k = 0; k < s->section_len; ++k) {
+        Value& element = (*slice.data)[static_cast<std::size_t>(k)];
+        element = combine_values(s->reduce_op, element,
+                                 from_pack_entry(*entry++), s->loc);
       }
     }
   }

@@ -141,6 +141,11 @@ const char* capture_mode_name(CaptureMode mode) {
   return "?";
 }
 
+/// "[0:len]" for an array-section reduction item, "" for a scalar one.
+std::string section_suffix(int section_len) {
+  return section_len > 0 ? "[0:" + std::to_string(section_len) + "]" : "";
+}
+
 std::string indent_str(int indent) { return std::string(2 * static_cast<std::size_t>(indent), ' '); }
 
 }  // namespace
@@ -253,7 +258,8 @@ std::string dump_stmt(const Stmt& stmt, int indent) {
       }
       if (stmt.hoist_depth > 0) out << " hoist@" << stmt.hoist_depth;
       for (const auto& c : stmt.captures) {
-        out << " [" << c.name << ' ' << capture_mode_name(c.mode);
+        out << " [" << c.name << section_suffix(c.section_len) << ' '
+            << capture_mode_name(c.mode);
         if (c.mode == CaptureMode::kReductionPtr) {
           out << ' ' << reduce_op_spelling(c.reduce_op);
         }
@@ -314,10 +320,11 @@ std::string dump_stmt(const Stmt& stmt, int indent) {
     case Stmt::Kind::kOmpReductionInit:
       out << pad << "(omp-red-init " << stmt.name << ' '
           << reduce_op_spelling(stmt.reduce_op) << " from " << stmt.target
-          << ")\n";
+          << section_suffix(stmt.section_len) << ")\n";
       break;
     case Stmt::Kind::kOmpReductionCombine:
-      out << pad << "(omp-red-combine " << stmt.target << ' '
+      out << pad << "(omp-red-combine " << stmt.target
+          << section_suffix(stmt.section_len) << ' '
           << reduce_op_spelling(stmt.reduce_op) << ' ' << stmt.name << ")\n";
       break;
     case Stmt::Kind::kOmpLastprivateWrite:

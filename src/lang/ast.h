@@ -140,6 +140,10 @@ struct CaptureArg {
   std::string name;        ///< source-level variable name
   CaptureMode mode = CaptureMode::kSharedPtr;
   ReduceOp reduce_op = ReduceOp::kAdd;  ///< for kReductionPtr
+  /// kReductionPtr on an array section `name[0:len]`: len (the slice header
+  /// rides by value and the winner folds into its first len elements);
+  /// 0 for a scalar reduction variable.
+  int section_len = 0;
   Symbol* symbol = nullptr;             ///< enclosing-scope symbol (sema)
 };
 
@@ -332,13 +336,18 @@ struct Stmt {
   std::string target;
   ReduceOp reduce_op = ReduceOp::kAdd;
   Symbol* target_symbol = nullptr;  // sema
+  /// kOmpReductionInit / kOmpReductionCombine on an array section
+  /// `target[0:len]`: len, else 0. The private `name` is then a const slice
+  /// view of a len-element private array filled with the identity, and the
+  /// combine folds element-wise into the target slice's first len elements.
+  int section_len = 0;
 
   /// kOmpReductionCombine only: packing (reduce.h). On the FIRST combine of
   /// a construct's consecutive combine run, the number of combines in the
-  /// run (1..16); 0 on the others. Backends lower every run, a single
-  /// variable included, as ONE zomp_reduce rendezvous over a struct payload
-  /// of the partials. Set by the directive engine, which emits each
-  /// construct's combines adjacently.
+  /// run; 0 on the others. Backends lower every run, a single variable
+  /// included, as ONE zomp_reduce rendezvous over a struct payload of the
+  /// partials (a section contributes len fields). Set by the directive
+  /// engine, which emits each construct's combines adjacently.
   int red_pack = 1;
 
   static StmtPtr make(Kind kind, SourceLoc loc);

@@ -37,7 +37,8 @@ StmtPtr clone_stmt(const Stmt& stmt) {
   if (stmt.body) copy->body = clone_stmt(*stmt.body);
   copy->callee = stmt.callee;
   for (const auto& c : stmt.captures) {
-    copy->captures.push_back(CaptureArg{c.name, c.mode, c.reduce_op, nullptr});
+    copy->captures.push_back(
+        CaptureArg{c.name, c.mode, c.reduce_op, c.section_len, nullptr});
   }
   if (stmt.num_threads) copy->num_threads = clone_expr(*stmt.num_threads);
   if (stmt.if_clause) copy->if_clause = clone_expr(*stmt.if_clause);
@@ -67,6 +68,7 @@ StmtPtr clone_stmt(const Stmt& stmt) {
   copy->lastprivate = stmt.lastprivate;
   copy->target = stmt.target;
   copy->reduce_op = stmt.reduce_op;
+  copy->section_len = stmt.section_len;
   copy->red_pack = stmt.red_pack;
   return copy;
 }

@@ -60,8 +60,11 @@ class Sema {
       if (fn->is_outlined || fn->is_extern) continue;
       check_function(*fn);
     }
+    // (After an error, an unchecked outlined function is that error's echo:
+    // a fork whose captures failed to bind never checks its callee.)
     for (auto& fn : module_.functions) {
-      if (fn->is_outlined && !checked_.contains(fn.get())) {
+      if (fn->is_outlined && !checked_.contains(fn.get()) &&
+          !diags_.has_errors()) {
         diags_.warning(fn->loc, "outlined function '" + fn->name +
                                     "' is never forked");
       }
@@ -336,15 +339,20 @@ class Sema {
         // Declares the private accumulator; its type comes from the variable
         // that carries the shared reduction target (an indirect parameter for
         // parallel-level reductions, an ordinary local for `for` reductions).
+        // A section's accumulator is a const slice view of a private array.
         Symbol* target = lookup(stmt.target);
         Type type = Type::invalid();
         if (target == nullptr) {
           diags_.error(stmt.loc, "unknown reduction target '" + stmt.target + "'");
+        } else if (stmt.section_len > 0) {
+          if (check_section(stmt.loc, stmt.target, stmt.reduce_op,
+                            stmt.section_len, target->type)) {
+            type = target->type;
+          }
         } else {
           type = target->type;
           if (!type.is_numeric() &&
-              !(type.is_bool() && (stmt.reduce_op == ReduceOp::kLogAnd ||
-                                   stmt.reduce_op == ReduceOp::kLogOr))) {
+              !(type.is_bool() && is_logical(stmt.reduce_op))) {
             diags_.error(stmt.loc, "reduction over unsupported type " +
                                        type.to_string());
             type = Type::invalid();
@@ -352,7 +360,7 @@ class Sema {
         }
         stmt.target_symbol = target;
         stmt.symbol = declare(stmt.name, Symbol::Kind::kLocal, type,
-                              /*is_const=*/false, stmt.loc);
+                              /*is_const=*/stmt.section_len > 0, stmt.loc);
         break;
       }
       case Stmt::Kind::kOmpReductionCombine:
@@ -365,10 +373,12 @@ class Sema {
         if (target == nullptr) {
           diags_.error(stmt.loc, "unknown combine/writeback target '" +
                                      stmt.target + "'");
-        } else if (target->is_const) {
+        } else if (target->is_const && stmt.section_len == 0) {
+          // (A section's combine stores elements, which a const slice allows.)
           diags_.error(stmt.loc, "combine/writeback target '" + stmt.target +
                                      "' is const");
-        } else if (local != nullptr && target->type != local->type) {
+        } else if (local != nullptr && !local->type.is_invalid() &&
+                   target->type != local->type) {
           diags_.error(stmt.loc, "type mismatch between '" + stmt.name +
                                      "' and '" + stmt.target + "'");
         }
@@ -525,6 +535,32 @@ class Sema {
     }
   }
 
+  static bool is_logical(ReduceOp op) {
+    return op == ReduceOp::kLogAnd || op == ReduceOp::kLogOr;
+  }
+
+  /// An array-section reduction item `base[0:len]` needs a slice base whose
+  /// elements the operator can combine (bool elements only under 'and' /
+  /// 'or'); diagnoses and returns false otherwise.
+  bool check_section(SourceLoc loc, const std::string& base, ReduceOp op,
+                     int len, const Type& type) {
+    const std::string clause = std::string("reduction(") +
+                               reduce_op_spelling(op) + ": " + base + "[0:" +
+                               std::to_string(len) + "])";
+    if (!type.is_slice()) {
+      diags_.error(loc, clause + ": the section base '" + base +
+                            "' must be a slice captured from the enclosing "
+                            "scope, not " + type.to_string());
+      return false;
+    }
+    if (type.element().is_bool() && !is_logical(op)) {
+      diags_.error(loc, clause + ": a bool section reduces only with 'and' "
+                                 "or 'or'");
+      return false;
+    }
+    return true;
+  }
+
   /// Resolves capture #i in the enclosing scope and binds the callee's
   /// parameter type monomorphically. Returns false (with diagnostics) when
   /// the capture cannot be typed.
@@ -570,7 +606,12 @@ class Sema {
         }
         break;
       case CaptureMode::kReductionPtr:
-        if (!sym->type.is_numeric()) {
+        if (cap.section_len > 0) {
+          // The slice header rides by value; the winner folds into its data.
+          ok = check_section(stmt.loc, cap.name, cap.reduce_op,
+                             cap.section_len, sym->type);
+          if (ok) param_type = sym->type;
+        } else if (!sym->type.is_numeric()) {
           diags_.error(stmt.loc,
                        "reduction variable '" + cap.name + "' must be numeric");
           ok = false;

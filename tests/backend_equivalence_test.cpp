@@ -465,6 +465,107 @@ TEST_P(BackendScheduleSweep, ReductionCollapseMatrixAgrees) {
   zomp::set_schedule({zomp::rt::ScheduleKind::kStatic, 0});
 }
 
+// Array-section reductions (reduce_matrix.mz section_run /
+// section_standalone_run): the sections start from seeded values, so the
+// oracle checks that each fold combines into the caller's data rather than
+// overwriting it.
+struct SectionOracle {
+  std::vector<double> hf;
+  std::vector<std::int64_t> hi, hm, out, h;
+};
+
+SectionOracle section_seed() {
+  SectionOracle o;
+  for (int k = 0; k < 8; ++k) o.hf.push_back(0.5 * k);
+  for (int k = 0; k < 4; ++k) o.hi.push_back(100 * k);
+  for (int k = 0; k < 6; ++k) o.hm.push_back(50 - 25 * k);
+  o.out = {0, 0};
+  for (int k = 0; k < 5; ++k) o.h.push_back(7 - k);
+  return o;
+}
+
+SectionOracle serial_section_oracle(std::int64_t n) {
+  SectionOracle o = section_seed();
+  std::int64_t s = 0, mx = -1000000;
+  for (std::int64_t i = 0; i < n; ++i) {
+    s += i * 2 + 1;
+    mx = std::max(mx, ((i * 37) % 101) - 50);
+    o.hf[static_cast<std::size_t>((i * 7) % 8)] += static_cast<double>(i + 1);
+    o.hi[static_cast<std::size_t>(i % 4)] += i * 3 - 5;
+    std::int64_t& m = o.hm[static_cast<std::size_t>((i * 5) % 6)];
+    m = std::max(m, ((i * 53) % 89) - 40);
+  }
+  o.out = {s, mx};
+  for (std::int64_t i = 0; i < n; ++i) o.h[static_cast<std::size_t>(i % 5)] += i;
+  for (std::int64_t i = 0; i < n; ++i) {
+    o.h[static_cast<std::size_t>((i * 3) % 5)] += i * 2 + 1;
+  }
+  return o;
+}
+
+template <typename T>
+SliceVal to_slice(const std::vector<T>& v) {
+  SliceVal s;
+  s.data = std::make_shared<std::vector<Value>>();
+  for (const T& x : v) s.data->push_back(Value(x));
+  return s;
+}
+
+template <typename T>
+std::vector<T> from_slice(const SliceVal& s) {
+  std::vector<T> out;
+  for (const Value& v : *s.data) out.push_back(std::get<T>(v.v));
+  return out;
+}
+
+template <typename T>
+mz::Slice<T> view(std::vector<T>& v) {
+  return mz::Slice<T>{v.data(), static_cast<std::int64_t>(v.size())};
+}
+
+TEST_P(BackendScheduleSweep, SectionReductionsAgree) {
+  const ScheduleSweepCase& cs = GetParam();
+  auto result = core::compile_source(read_kernel("reduce_matrix.mz"));
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  zomp::set_schedule({cs.kind, cs.chunk});
+
+  for (const std::int64_t n : {std::int64_t{0}, std::int64_t{3},
+                               std::int64_t{41}}) {
+    const SectionOracle oracle = serial_section_oracle(n);
+    for (const int threads : {1, 3, 4}) {
+      zomp::set_num_threads(threads);
+      Interp interp(*result.module);
+      SectionOracle in = section_seed();
+      SliceVal hf = to_slice(in.hf), hi = to_slice(in.hi),
+               hm = to_slice(in.hm), out = to_slice(in.out),
+               h = to_slice(in.h);
+      interp.call_by_name("section_run", {Value(n), Value(hf), Value(hi),
+                                          Value(hm), Value(out)});
+      interp.call_by_name("section_standalone_run", {Value(n), Value(h)});
+
+      SectionOracle nat = section_seed();
+      mzgen_reduce_matrix_mz::section_run(n, view(nat.hf), view(nat.hi),
+                                          view(nat.hm), view(nat.out));
+      mzgen_reduce_matrix_mz::section_standalone_run(n, view(nat.h));
+
+      const std::string where = std::string(cs.clause) + ", n = " +
+                                std::to_string(n) + ", " +
+                                std::to_string(threads) + " threads";
+      EXPECT_EQ(from_slice<double>(hf), oracle.hf) << where;
+      EXPECT_EQ(from_slice<std::int64_t>(hi), oracle.hi) << where;
+      EXPECT_EQ(from_slice<std::int64_t>(hm), oracle.hm) << where;
+      EXPECT_EQ(from_slice<std::int64_t>(out), oracle.out) << where;
+      EXPECT_EQ(from_slice<std::int64_t>(h), oracle.h) << where;
+      EXPECT_EQ(nat.hf, oracle.hf) << where;
+      EXPECT_EQ(nat.hi, oracle.hi) << where;
+      EXPECT_EQ(nat.hm, oracle.hm) << where;
+      EXPECT_EQ(nat.out, oracle.out) << where;
+      EXPECT_EQ(nat.h, oracle.h) << where;
+    }
+  }
+  zomp::set_schedule({zomp::rt::ScheduleKind::kStatic, 0});
+}
+
 TEST_P(BackendScheduleSweep, CollapseDepthsAgreeWithCollapseOne) {
   // collapse(2)/collapse(3) must produce the same results as the collapse(1)
   // spelling of the identical nest: rewrite the clause in source and

@@ -170,9 +170,66 @@ fn sweep(n: i64, src: []f64, dst: []f64) f64 {
       << "the private accumulator's address escapes: " << args;
 }
 
-TEST(CodegenTest, ReductionPastPackCapSplitsIntoPacks) {
-  // 17 variables = the 16-entry pack cap plus a remainder of one: two
-  // rendezvous, and both are packs (none takes a per-variable path).
+TEST(CodegenTest, SectionReductionJoinsTheConstructsOnePack) {
+  // EP-shaped: a histogram section beside three scalars. The section's
+  // private copy is a stack array behind a slice view named like the
+  // variable; its ten elements become one array field of the construct's
+  // single pack, so the histogram costs no atomics and no extra rendezvous,
+  // and neither the array's nor a scalar private's address reaches the
+  // runtime.
+  const std::string source = R"(
+fn ep(n: i64, q: []f64, res: []f64) void {
+  var sx: f64 = 0.0;
+  var sy: f64 = 0.0;
+  var accepted: f64 = 0.0;
+  //#omp parallel for reduction(+: sx, sy, accepted, q[0:10]) schedule(static)
+  for (0..n) |i| {
+    const bin: i64 = @mod(i * 7, 10);
+    q[bin] += 1.0;
+    sx += 0.5;
+    sy -= 0.25;
+    accepted += 1.0;
+  }
+  res[0] = sx + sy + accepted;
+}
+)";
+  const std::string cpp = gen(source);
+  EXPECT_EQ(count_of(cpp, "zomp_reduce("), 1u) << cpp;
+  EXPECT_EQ(count_of(cpp, "zomp_atomic"), 0u) << cpp;
+  const std::size_t call = cpp.find("zomp_reduce(");
+  ASSERT_NE(call, std::string::npos);
+  const std::string args = cpp.substr(call, cpp.find(')', call) - call);
+  for (const char* priv : {"__priv", "&q_", "&sx_", "&sy_", "&accepted_"}) {
+    EXPECT_EQ(args.find(priv), std::string::npos)
+        << "a private's address escapes: " << args;
+  }
+  // The private array, its identity fill, the const view the body indexes,
+  // and the pack's array field.
+  EXPECT_NE(cpp.find("double q_"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("__priv[10];"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("__priv[__k] = 0.0;"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("const mz::Slice<double> q_"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find(" double v0[10]; double v1; double v2; double v3; };"),
+            std::string::npos)
+      << cpp;
+  // The winner folds the section element-wise into the shared slice.
+  EXPECT_NE(cpp.find("q__red_"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("[__k] + __redpack_"), std::string::npos) << cpp;
+
+  // --safe keeps the section bounds-checked: the body indexes the view,
+  // an mz::Slice, never the raw array.
+  CodegenOptions safe;
+  safe.safety_checks = true;
+  const std::string checked = gen(source, safe);
+  EXPECT_NE(checked.find("#define ZOMP_MZ_SAFE 1"), std::string::npos);
+  EXPECT_EQ(count_of(checked, "__priv["), 3u)
+      << "only the declaration, the fill and the pack copy touch the array:\n"
+      << checked;
+}
+
+TEST(CodegenTest, SeventeenReductionVariablesShareOnePack) {
+  // A construct is one rendezvous however many variables it reduces: the
+  // 17 partials ride one 17-field pack (no per-variable path, no split).
   std::string decls, clauses, body, sum = "0";
   for (int v = 0; v < 17; ++v) {
     const std::string name = "r" + std::to_string(v);
@@ -184,10 +241,11 @@ TEST(CodegenTest, ReductionPastPackCapSplitsIntoPacks) {
   const std::string cpp =
       gen("fn f(n: i64) i64 {\n" + decls + "  //#omp parallel for" + clauses +
           "\n  for (0..n) |i| {\n" + body + "  }\n  return " + sum + ";\n}\n");
-  EXPECT_EQ(count_of(cpp, "zomp_reduce("), 2u) << cpp;
-  EXPECT_EQ(count_of(cpp, "_t __redpack_"), 2u) << cpp;
-  EXPECT_NE(cpp.find(" std::int64_t v15; };"), std::string::npos) << cpp;
-  EXPECT_NE(cpp.find("_t { std::int64_t v0; };"), std::string::npos) << cpp;
+  EXPECT_EQ(count_of(cpp, "zomp_reduce("), 1u) << cpp;
+  EXPECT_EQ(count_of(cpp, "_t __redpack_"), 1u) << cpp;
+  EXPECT_NE(cpp.find(" std::int64_t v15; std::int64_t v16; };"),
+            std::string::npos)
+      << cpp;
 }
 
 TEST(CodegenTest, CollapseEmitsOdometerAdvance) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/directive_parser.h"
+#include "core/pipeline.h"
 
 namespace zomp::core {
 namespace {
@@ -100,6 +101,116 @@ TEST(DirectiveParserTest, ReductionErrors) {
   parse_fail(" parallel reduction(%: s)", "reduction operator");
   parse_fail(" parallel reduction(+ s)", "':'");
   parse_fail(" parallel reduction(+:)", "variable names");
+}
+
+// -- Array-section reductions: reduction(op: name[0:len]) -------------------
+
+TEST(DirectiveParserTest, ReductionSectionsParse) {
+  auto d = parse_ok(" parallel for reduction(+: sx, q[0:10], sy)");
+  ASSERT_EQ(d->reductions.size(), 1u);
+  EXPECT_EQ(d->reductions[0].vars,
+            (std::vector<std::string>{"sx", "q", "sy"}));
+  EXPECT_EQ(d->reductions[0].section_lens, (std::vector<int>{0, 10, 0}));
+
+  // The lower bound may be omitted; sections and scalars mix across
+  // clauses; the length runs from 1 to 1024.
+  d = parse_ok(" for reduction(max: h[:4]) reduction(+: s, b[0:1024], c[0:1])");
+  ASSERT_EQ(d->reductions.size(), 2u);
+  EXPECT_EQ(d->reductions[0].vars, std::vector<std::string>{"h"});
+  EXPECT_EQ(d->reductions[0].section_lens, std::vector<int>{4});
+  EXPECT_EQ(d->reductions[1].vars,
+            (std::vector<std::string>{"s", "b", "c"}));
+  EXPECT_EQ(d->reductions[1].section_lens, (std::vector<int>{0, 1024, 1}));
+
+  // Plain lists record a 0 length per name.
+  d = parse_ok(" parallel reduction(+: a, b)");
+  EXPECT_EQ(d->reductions[0].section_lens, (std::vector<int>{0, 0}));
+}
+
+TEST(DirectiveParserTest, ReductionSectionBoundsRejected) {
+  // Every diagnostic names the clause with the item as written.
+  const char* const lower = "lower bound must be the literal 0";
+  parse_fail(" parallel for reduction(+: q[1:10])",
+             "reduction(+: q[1:10]): the array section's " + std::string(lower));
+  parse_fail(" parallel for reduction(+: q[lo:10])", lower);
+  parse_fail(" parallel for reduction(+: q[0+0:10])", lower);
+  parse_fail(" parallel for reduction(+: q[0.0:10])", lower);
+
+  const char* const length =
+      "length must be an integer literal from 1 to 1024";
+  parse_fail(" parallel for reduction(max: q[0:n])",
+             "reduction(max: q[0:n]): the array section's " +
+                 std::string(length));
+  parse_fail(" for reduction(+: q[:0])", length);
+  parse_fail(" for reduction(+: q[0:1025])", length);
+  parse_fail(" for reduction(+: q[0:-1])", length);
+  parse_fail(" for reduction(+: q[0:2*5])", length);
+  parse_fail(" for reduction(+: q[0:])", length);
+
+  parse_fail(" parallel for reduction(+: q[3])", "expected an array section");
+  parse_fail(" parallel for reduction(+: q[0:4)", "variable names or array");
+  parse_fail(" parallel for reduction(+: [0:4])", "variable names or array");
+}
+
+/// Compiles a module through the full pipeline and expects one error whose
+/// message contains `fragment`, with no engine-internal name in the output.
+void compile_fail(const std::string& source, const std::string& fragment) {
+  auto result = compile_source(source);
+  EXPECT_FALSE(result.ok) << source;
+  const std::string text = result.diagnostics_text();
+  EXPECT_NE(text.find(fragment), std::string::npos) << text;
+  EXPECT_EQ(text.find("__"), std::string::npos) << text;
+}
+
+TEST(DirectiveParserTest, ReductionSectionBaseMustBeACapturedSlice) {
+  const char* const want =
+      "reduction(+: x[0:3]): the section base 'x' must be a slice captured "
+      "from the enclosing scope, not f64";
+  compile_fail(R"(
+fn f(x: f64, q: []f64) void {
+  //#omp parallel for reduction(+: x[0:3])
+  for (0..8) |i| {
+    q[i] = x;
+  }
+}
+)",
+               want);
+  compile_fail(R"(
+fn f(x: f64, q: []f64) void {
+  //#omp parallel
+  {
+    //#omp for reduction(+: x[0:3])
+    for (0..8) |i| {
+      q[i] = x;
+    }
+  }
+}
+)",
+               want);
+}
+
+/// `reduction(<op>: flags[0:4])` over a bool slice, on `parallel for` and
+/// on a standalone `for` inside a region.
+std::vector<std::string> bool_section_sources(const std::string& op) {
+  const std::string loop = "reduction(" + op + ": flags[0:4])\n" +
+                           "  for (0..8) |i| {\n"
+                           "    flags[@mod(i, 4)] = true;\n"
+                           "  }\n";
+  return {"fn f(flags: []bool) void {\n  //#omp parallel for " + loop + "}\n",
+          "fn f(flags: []bool) void {\n  //#omp parallel\n  {\n  //#omp for " +
+              loop + "  }\n}\n"};
+}
+
+TEST(DirectiveParserTest, BoolSectionNeedsALogicalOperator) {
+  for (const std::string& source : bool_section_sources("+")) {
+    compile_fail(source,
+                 "reduction(+: flags[0:4]): a bool section reduces only with "
+                 "'and' or 'or'");
+  }
+  for (const std::string& source : bool_section_sources("or")) {
+    auto result = compile_source(source);
+    EXPECT_TRUE(result.ok) << source << result.diagnostics_text();
+  }
 }
 
 TEST(DirectiveParserTest, ScheduleClause) {

@@ -608,6 +608,179 @@ fn f() void {
   EXPECT_FALSE(result.ok);
 }
 
+TEST(TransformTest, SectionReductionCarriesItsLength) {
+  // The section length rides on the capture and on both reduction
+  // statements, in the parallel path and in the standalone `for` path.
+  const std::string out = transformed_dump(R"(
+fn f(n: i64, q: []f64) f64 {
+  var s: f64 = 0.0;
+  //#omp parallel for reduction(+: s, q[0:10])
+  for (0..n) |i| {
+    q[@mod(i, 10)] += 1.0;
+    s += 1.0;
+  }
+  //#omp parallel
+  {
+    //#omp for reduction(max: q[:3])
+    for (0..n) |i| {
+      q[@mod(i, 3)] = @max(q[@mod(i, 3)], 2.0);
+    }
+  }
+  return s;
+}
+)");
+  EXPECT_NE(out.find("[q[0:10] reduction-ptr +]"), std::string::npos) << out;
+  EXPECT_NE(out.find("(omp-red-init q + from q__red[0:10])"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("(omp-red-combine q__red[0:10] + q)"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("(omp-red-init s + from s__red)"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("(omp-red-init q__prv max from q[0:3])"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("(omp-red-combine q[0:3] max q__prv)"), std::string::npos)
+      << out;
+}
+
+// OpenMP's one-clause rule on worksharing loops: a variable appears in at
+// most one data-sharing clause (firstprivate with lastprivate excepted).
+// Accepting reduction(+: a) lastprivate(a) used to sum only the last static
+// chunk into `a`.
+void expect_clause_conflict(const std::string& source,
+                            const std::string& message) {
+  auto result = compile_source(source);
+  EXPECT_FALSE(result.ok) << source;
+  const std::string text = result.diagnostics_text();
+  EXPECT_NE(text.find(message), std::string::npos) << text;
+  EXPECT_EQ(text.find("__"), std::string::npos)
+      << "an internal name leaked: " << text;
+}
+
+TEST(TransformTest, ReductionWithLastprivateRejected) {
+  expect_clause_conflict(R"(
+fn f() i64 {
+  var a: i64 = 0;
+  //#omp parallel for reduction(+: a) lastprivate(a)
+  for (0..1000) |i| {
+    a += i;
+  }
+  return a;
+}
+)",
+                         "reduction variable 'a' also appears in another "
+                         "clause");
+  expect_clause_conflict(R"(
+fn f() i64 {
+  var a: i64 = 0;
+  //#omp parallel
+  {
+    //#omp for lastprivate(a) reduction(+: a)
+    for (0..1000) |i| {
+      a += i;
+    }
+  }
+  return a;
+}
+)",
+                         "reduction variable 'a' also appears in another "
+                         "clause");
+}
+
+TEST(TransformTest, PrivateWithLastprivateRejected) {
+  expect_clause_conflict(R"(
+fn f() i64 {
+  var a: i64 = 0;
+  //#omp parallel for private(a) lastprivate(a)
+  for (0..1000) |i| {
+    a = i;
+  }
+  return a;
+}
+)",
+                         "variable 'a' appears in multiple data-sharing "
+                         "clauses");
+}
+
+TEST(TransformTest, VariableInTwoReductionClausesRejected) {
+  // The standalone form used to report the engine's private name
+  // ("redeclaration of 'a__prv'"); both forms now say the same thing.
+  expect_clause_conflict(R"(
+fn f() i64 {
+  var a: i64 = 0;
+  //#omp parallel
+  {
+    //#omp for reduction(+: a) reduction(max: a)
+    for (0..1000) |i| {
+      a += i;
+    }
+  }
+  return a;
+}
+)",
+                         "reduction variable 'a' also appears in another "
+                         "clause");
+  expect_clause_conflict(R"(
+fn f() i64 {
+  var a: i64 = 0;
+  //#omp parallel for reduction(+: a) reduction(max: a)
+  for (0..1000) |i| {
+    a += i;
+  }
+  return a;
+}
+)",
+                         "reduction variable 'a' also appears in another "
+                         "clause");
+}
+
+TEST(TransformTest, SectionCountsUnderItsBaseName) {
+  expect_clause_conflict(R"(
+fn f(q: []f64) void {
+  //#omp parallel for reduction(+: q[0:4]) lastprivate(q)
+  for (0..1000) |i| {
+    q[@mod(i, 4)] += 1.0;
+  }
+}
+)",
+                         "reduction variable 'q' also appears in another "
+                         "clause");
+}
+
+TEST(TransformTest, TaskCannotCaptureAReductionSection) {
+  // The section's private copy is an array on the member's stack, gone once
+  // the member leaves the construct; a deferred task could still be running.
+  const char* const want =
+      "task cannot capture reduction section 'q' inside its construct";
+  expect_clause_conflict(R"(
+fn f(q: []i64) void {
+  //#omp parallel for reduction(+: q[0:4])
+  for (0..100) |i| {
+    //#omp task
+    {
+      q[@mod(i, 4)] += 1;
+    }
+  }
+}
+)",
+                         want);
+  expect_clause_conflict(R"(
+fn f(q: []i64) void {
+  //#omp parallel
+  {
+    //#omp for reduction(+: q[0:4])
+    for (0..100) |i| {
+      //#omp task
+      {
+        q[@mod(i, 4)] += 1;
+      }
+    }
+  }
+}
+)",
+                         want);
+}
+
 TEST(TransformTest, NoOmpModeIgnoresDirectives) {
   CompileOptions options;
   options.openmp = false;

@@ -28,17 +28,23 @@ mz::Slice<T> slice_of(std::vector<T>& v) {
 }
 
 TEST(GenEpTest, TranspiledMatchesSerialReference) {
+  // The histogram is an array-section reduction packed with sx, sy and the
+  // pair count (13 fields, the reduction's per-team wide path); 3 threads
+  // make a team whose size is not a power of two.
   const zomp::npb::EpResult expect = zomp::npb::ep_serial(18);
-  std::vector<double> q(10, 0.0), res(3, 0.0);
-  zomp::set_num_threads(2);
-  mzgen_ep_mz::ep_run(18, slice_of(q), slice_of(res));
-  EXPECT_NEAR(res[0], expect.sx, 1e-7);
-  EXPECT_NEAR(res[1], expect.sy, 1e-7);
-  EXPECT_EQ(static_cast<std::int64_t>(res[2]), expect.pairs_in_disc);
-  for (int b = 0; b < 10; ++b) {
-    EXPECT_EQ(static_cast<std::int64_t>(q[static_cast<std::size_t>(b)]),
-              expect.q[static_cast<std::size_t>(b)])
-        << "annulus " << b;
+  for (const int threads : {1, 2, 3, 4}) {
+    std::vector<double> q(10, 0.0), res(3, 0.0);
+    zomp::set_num_threads(threads);
+    mzgen_ep_mz::ep_run(18, slice_of(q), slice_of(res));
+    EXPECT_NEAR(res[0], expect.sx, 1e-7) << threads << " threads";
+    EXPECT_NEAR(res[1], expect.sy, 1e-7) << threads << " threads";
+    EXPECT_EQ(static_cast<std::int64_t>(res[2]), expect.pairs_in_disc)
+        << threads << " threads";
+    for (int b = 0; b < 10; ++b) {
+      EXPECT_EQ(static_cast<std::int64_t>(q[static_cast<std::size_t>(b)]),
+                expect.q[static_cast<std::size_t>(b)])
+          << "annulus " << b << ", " << threads << " threads";
+    }
   }
 }
 

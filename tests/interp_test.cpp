@@ -342,8 +342,8 @@ INSTANTIATE_TEST_SUITE_P(
         ReduceOpCase{"^", "0", "acc = acc ^ i;", "0"}));  // xor of 1..7
 
 TEST(InterpOmpTest, ReductionPastPackCapCombinesEveryVariable) {
-  // 17 variables split into a 16-entry pack and a pack of one; every
-  // variable still folds into its own target: r_v = (v + 1) * (0 + .. + 9).
+  // 17 variables, past the old 16-entry pack cap, ride one 17-entry pack;
+  // every variable folds into its own target: r_v = (v + 1) * (0 + .. + 9).
   std::string decls, clauses, body, prints;
   for (int v = 0; v < 17; ++v) {
     const std::string name = "r" + std::to_string(v);
