@@ -1,6 +1,7 @@
 #include "core/directive_parser.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -618,10 +619,41 @@ class ClauseParser {
     if (d.ordered && d.nowait) {
       error("'ordered' cannot combine with 'nowait'");
     }
+    check_one_clause_rule(d);
     // cancel/cancellation point take only the construct-type operand. Every
     // clause falls into one of the generic rejections above (they are neither
     // parallel, for, task nor taskloop kinds), so no dedicated block: the
     // spec's if-clause on cancel is likewise rejected rather than dropped.
+  }
+
+  /// OpenMP's one-clause rule, checked before a combined form is split: a
+  /// variable appears at most once across private, firstprivate, shared,
+  /// lastprivate and reduction, firstprivate with lastprivate being the one
+  /// allowed pair. A section counts under its base name.
+  void check_one_clause_rule(const Directive& d) {
+    enum class Clause { kPrivate, kFirstprivate, kShared, kLastprivate,
+                        kReduction };
+    std::unordered_map<std::string, Clause> seen;
+    auto claim = [&](const std::string& n, Clause clause) {
+      const auto [it, fresh] = seen.emplace(n, clause);
+      if (fresh) return;
+      const Clause other = it->second;
+      if (other == Clause::kFirstprivate && clause == Clause::kLastprivate) {
+        return;
+      }
+      if (other == Clause::kReduction || clause == Clause::kReduction) {
+        error("reduction variable '" + n + "' also appears in another clause");
+      } else {
+        error("variable '" + n + "' appears in multiple data-sharing clauses");
+      }
+    };
+    for (const auto& n : d.private_vars) claim(n, Clause::kPrivate);
+    for (const auto& n : d.firstprivate_vars) claim(n, Clause::kFirstprivate);
+    for (const auto& n : d.shared_vars) claim(n, Clause::kShared);
+    for (const auto& n : d.lastprivate_vars) claim(n, Clause::kLastprivate);
+    for (const auto& r : d.reductions) {
+      for (const auto& n : r.vars) claim(n, Clause::kReduction);
+    }
   }
 
   /// Backends recompute collapse dimensions with 64-bit stride products;
@@ -629,8 +661,8 @@ class ClauseParser {
   /// synthesized prolog (4 locals per dimension) honest.
   static constexpr std::int64_t kMaxCollapseDepth = 7;
 
-  /// Each member's private copy of a reduction array section, and its field
-  /// in the reduction pack, both live on the member's stack.
+  /// Each member's private copy of a reduction array section lives on the
+  /// member's stack, and the construct's pack holds it once per member.
   static constexpr std::int64_t kMaxSectionLength = 1024;
 
   std::vector<Token> tokens_;

@@ -412,18 +412,10 @@ class Transformer {
     std::unordered_map<std::string, int> section_len;
     for (const auto& n : d.private_vars) mode[n] = CaptureMode::kValue;
     for (const auto& n : d.firstprivate_vars) mode[n] = CaptureMode::kValue;
-    for (const auto& n : d.shared_vars) {
-      if (mode.contains(n)) {
-        error(d.loc, "variable '" + n + "' appears in multiple data-sharing clauses");
-      }
-      mode[n] = CaptureMode::kSharedPtr;
-    }
+    for (const auto& n : d.shared_vars) mode[n] = CaptureMode::kSharedPtr;
     for (const auto& r : d.reductions) {
       for (std::size_t j = 0; j < r.vars.size(); ++j) {
         const std::string& n = r.vars[j];
-        if (mode.contains(n)) {
-          error(d.loc, "reduction variable '" + n + "' also appears in another clause");
-        }
         mode[n] = CaptureMode::kReductionPtr;
         red_op[n] = r.op;
         section_len[n] = r.section_lens[j];
@@ -743,30 +735,6 @@ class Transformer {
         if (is_loop_iv(n)) {
           error(d.loc, "reduction variable '" + n +
                            "' is a loop variable of the associated loop");
-        }
-      }
-    }
-    // OpenMP's one-clause rule: a variable appears in at most one
-    // data-sharing clause, firstprivate with lastprivate being the one
-    // allowed pair. lower_parallel checks the region-level clauses of the
-    // combined form; lastprivate lives only here, and so do a standalone
-    // loop's reductions. A section counts under its base name.
-    const std::unordered_set<std::string> lastprivate(
-        d.lastprivate_vars.begin(), d.lastprivate_vars.end());
-    for (const auto& n : d.private_vars) {
-      if (lastprivate.contains(n)) {
-        error(d.loc, "variable '" + n +
-                         "' appears in multiple data-sharing clauses");
-      }
-    }
-    std::unordered_set<std::string> reduced;
-    for (const auto& r : d.reductions) {
-      for (const auto& n : r.vars) {
-        // A combined form's repeated reduction is lower_parallel's to report.
-        const bool first = reduced.insert(n).second;
-        if ((first && lastprivate.contains(n)) || (!first && standalone)) {
-          error(d.loc, "reduction variable '" + n +
-                           "' also appears in another clause");
         }
       }
     }

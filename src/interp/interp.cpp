@@ -396,44 +396,76 @@ class Exec {
   /// of its partials (a section contributes one entry per element), the
   /// tree combines entry-by-entry (each with its own operator), and the
   /// winner alone folds every entry into its shared target; the construct's
-  /// ensuing barrier publishes the writes.
+  /// ensuing barrier publishes the writes. A construct that reduces a
+  /// section deposits one row of entries per team member, as the generated
+  /// code does (codegen.cpp emit_reduce_pack): identities except its own
+  /// row, which the combine merges exactly, and the winner folds the rows
+  /// in member order, so the result does not depend on arrival order.
   void exec_reduce_pack(const std::vector<const Stmt*>& run) {
     rt::ThreadState& ts = rt::current_thread();
-    std::vector<PackEntry> pack;
+    bool rows = false;
+    for (const Stmt* s : run) rows = rows || s->section_len > 0;
+    // This member's row, and (with rows) the identity row it stands for in
+    // every other member's pack.
+    std::vector<PackEntry> row;
+    std::vector<PackEntry> identities;
+    auto identity = [](const Stmt& s, const lang::Type& type) {
+      return to_pack_entry(identity_value(s.reduce_op, type), s.reduce_op,
+                           s.loc);
+    };
     for (const Stmt* s : run) {
       const Value& local = *cell_of(s->symbol, s->loc);
       if (s->section_len == 0) {
-        pack.push_back(to_pack_entry(local, s->reduce_op, s->loc));
+        row.push_back(to_pack_entry(local, s->reduce_op, s->loc));
+        if (rows) identities.push_back(identity(*s, s->symbol->type));
         continue;
       }
+      const PackEntry element_identity =
+          identity(*s, s->symbol->type.element());
       for (const Value& v : *local.as_slice().data) {
-        pack.push_back(to_pack_entry(v, s->reduce_op, s->loc));
+        row.push_back(to_pack_entry(v, s->reduce_op, s->loc));
+        identities.push_back(element_identity);
       }
+    }
+    const std::size_t members =
+        rows ? static_cast<std::size_t>(ts.team->size()) : 1;
+    std::vector<PackEntry> pack;
+    pack.reserve(members * row.size());
+    for (std::size_t r = 0; r < members; ++r) {
+      const bool own = !rows || r == static_cast<std::size_t>(ts.tid);
+      const std::vector<PackEntry>& entries = own ? row : identities;
+      pack.insert(pack.end(), entries.begin(), entries.end());
     }
     std::size_t n = pack.size();
     if (!ts.team->reduce_combine(ts, pack.data(), n * sizeof(PackEntry),
                                  &pack_combine, &n, /*broadcast=*/false)) {
       return;
     }
-    const PackEntry* entry = pack.data();
     for (const Stmt* s : run) {
-      Value& target = *cell_of(s->target_symbol, s->loc);
-      if (s->section_len == 0) {
-        target = combine_values(s->reduce_op, target,
-                                from_pack_entry(*entry++), s->loc);
-        continue;
-      }
-      const SliceVal slice = target.as_slice();
-      if (slice.len() < s->section_len) {
+      if (s->section_len == 0) continue;
+      const std::int64_t len =
+          cell_of(s->target_symbol, s->loc)->as_slice().len();
+      if (len < s->section_len) {
         panic(s->loc, "reduction section [0:" +
                           std::to_string(s->section_len) +
-                          "] exceeds its slice of len " +
-                          std::to_string(slice.len()));
+                          "] exceeds its slice of len " + std::to_string(len));
       }
-      for (int k = 0; k < s->section_len; ++k) {
-        Value& element = (*slice.data)[static_cast<std::size_t>(k)];
-        element = combine_values(s->reduce_op, element,
-                                 from_pack_entry(*entry++), s->loc);
+    }
+    const PackEntry* entry = pack.data();
+    for (std::size_t r = 0; r < members; ++r) {
+      for (const Stmt* s : run) {
+        Value& target = *cell_of(s->target_symbol, s->loc);
+        if (s->section_len == 0) {
+          target = combine_values(s->reduce_op, target,
+                                  from_pack_entry(*entry++), s->loc);
+          continue;
+        }
+        const SliceVal slice = target.as_slice();
+        for (int k = 0; k < s->section_len; ++k) {
+          Value& element = (*slice.data)[static_cast<std::size_t>(k)];
+          element = combine_values(s->reduce_op, element,
+                                   from_pack_entry(*entry++), s->loc);
+        }
       }
     }
   }

@@ -566,6 +566,24 @@ TEST_P(BackendScheduleSweep, SectionReductionsAgree) {
   zomp::set_schedule({zomp::rt::ScheduleKind::kStatic, 0});
 }
 
+TEST(SectionReductionDeathTest, SectionLongerThanItsSliceStopsBothBackends) {
+  // h[0:5] over a 3-element slice: the loop body only writes the private
+  // copy, so the winner's fold is where both backends must stop, before
+  // writing past the slice.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  zomp::set_num_threads(3);
+  std::vector<std::int64_t> h(3, 0);
+  EXPECT_DEATH(mzgen_reduce_matrix_mz::section_standalone_run(41, view(h)),
+               "reduction section exceeds its slice");
+  auto result = core::compile_source(read_kernel("reduce_matrix.mz"));
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  Interp interp(*result.module);
+  EXPECT_DEATH(interp.call_by_name("section_standalone_run",
+                                   {Value(std::int64_t{41}),
+                                    Value(make_slice_i64(3))}),
+               "reduction section \\[0:5\\] exceeds its slice of len 3");
+}
+
 TEST_P(BackendScheduleSweep, CollapseDepthsAgreeWithCollapseOne) {
   // collapse(2)/collapse(3) must produce the same results as the collapse(1)
   // spelling of the identical nest: rewrite the clause in source and

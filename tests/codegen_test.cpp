@@ -212,9 +212,15 @@ fn ep(n: i64, q: []f64, res: []f64) void {
   EXPECT_NE(cpp.find(" double v0[10]; double v1; double v2; double v3; };"),
             std::string::npos)
       << cpp;
-  // The winner folds the section element-wise into the shared slice.
+  // The pack holds a row per member, identities but for the member's own;
+  // the winner checks the shared slice's length, then folds the rows in
+  // member order, the section element-wise.
+  EXPECT_NE(cpp.find("{ std::int64_t n; double v0[10];"), std::string::npos)
+      << cpp;
+  EXPECT_NE(cpp.find("[zomp_get_thread_num()];"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find(".len < 10) mz::panic("), std::string::npos) << cpp;
   EXPECT_NE(cpp.find("q__red_"), std::string::npos) << cpp;
-  EXPECT_NE(cpp.find("[__k] + __redpack_"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("[__k] + __rows_"), std::string::npos) << cpp;
 
   // --safe keeps the section bounds-checked: the body indexes the view,
   // an mz::Slice, never the raw array.

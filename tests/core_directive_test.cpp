@@ -406,6 +406,26 @@ TEST(DirectiveParserTest, ListValuedClausesMayRepeat) {
   EXPECT_EQ(d->private_vars, (std::vector<std::string>{"c", "d"}));
 }
 
+TEST(DirectiveParserTest, OneDataSharingClausePerVariable) {
+  // Checked on the whole clause list, before a combined form is split
+  // between its region and its loop; a section counts under its base name.
+  const char* const reduction = "reduction variable 'a' also appears";
+  const char* const multiple = "variable 'a' appears in multiple";
+  parse_fail(" parallel for reduction(+: a) lastprivate(a)", reduction);
+  parse_fail(" for lastprivate(a) reduction(+: a)", reduction);
+  parse_fail(" for reduction(+: a) reduction(max: a)", reduction);
+  parse_fail(" parallel reduction(+: a) shared(a)", reduction);
+  parse_fail(" parallel for reduction(+: a[0:4]) private(a)", reduction);
+  parse_fail(" parallel for private(a) lastprivate(a)", multiple);
+  parse_fail(" parallel shared(a) private(a)", multiple);
+  parse_fail(" parallel private(a) firstprivate(a)", multiple);
+  parse_fail(" task firstprivate(a) shared(a)", multiple);
+  // firstprivate with lastprivate is the one allowed pair.
+  auto d = parse_ok(" parallel for firstprivate(a) lastprivate(a)");
+  EXPECT_EQ(d->lastprivate_vars, std::vector<std::string>{"a"});
+  parse_ok(" parallel for lastprivate(a) firstprivate(a) reduction(+: b)");
+}
+
 TEST(DirectiveParserTest, UnbalancedParensRejected) {
   parse_fail(" parallel num_threads(2", "unbalanced");
 }

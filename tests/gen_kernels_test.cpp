@@ -29,13 +29,20 @@ mz::Slice<T> slice_of(std::vector<T>& v) {
 
 TEST(GenEpTest, TranspiledMatchesSerialReference) {
   // The histogram is an array-section reduction packed with sx, sy and the
-  // pair count (13 fields, the reduction's per-team wide path); 3 threads
-  // make a team whose size is not a power of two.
+  // pair count (13 fields in each member's row, the reduction's per-team
+  // wide path); 3 threads make a team whose size is not a power of two.
+  // The rows fold in member order, so repeated runs agree bit for bit.
   const zomp::npb::EpResult expect = zomp::npb::ep_serial(18);
   for (const int threads : {1, 2, 3, 4}) {
     std::vector<double> q(10, 0.0), res(3, 0.0);
     zomp::set_num_threads(threads);
     mzgen_ep_mz::ep_run(18, slice_of(q), slice_of(res));
+    for (int rep = 0; rep < 8; ++rep) {
+      std::vector<double> q_again(10, 0.0), res_again(3, 0.0);
+      mzgen_ep_mz::ep_run(18, slice_of(q_again), slice_of(res_again));
+      EXPECT_EQ(res_again, res) << threads << " threads, repeat " << rep;
+      EXPECT_EQ(q_again, q) << threads << " threads, repeat " << rep;
+    }
     EXPECT_NEAR(res[0], expect.sx, 1e-7) << threads << " threads";
     EXPECT_NEAR(res[1], expect.sy, 1e-7) << threads << " threads";
     EXPECT_EQ(static_cast<std::int64_t>(res[2]), expect.pairs_in_disc)

@@ -5,12 +5,10 @@
 // (<kernel>_mz) transpiles — across {1, 2, 4, 8} threads, and all four must
 // agree (with the serial host oracle pinning the integer kernels). Float
 // kernels are compared within one backend (interp-vs-interp and
-// native-vs-native are bit-exact by construction, except EP's sx and sy,
-// whose wide reduction pack folds in arrival order; interp-vs-native f64
-// sums are the province of backend_equivalence_test).
+// native-vs-native are bit-exact by construction; interp-vs-native f64 sums
+// are the province of backend_equivalence_test).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -204,18 +202,8 @@ TEST_P(OptLevelSweep, EpAgreesAcrossOptLevels) {
   std::vector<double> q0(10, 0.0), res0(3, 0.0), q1(10, 0.0), res1(3, 0.0);
   mzgen_ep_mz_o0::ep_run(m_native, slice_of(q0), slice_of(res0));
   mzgen_ep_mz::ep_run(m_native, slice_of(q1), slice_of(res1));
-  // q and the pair count are integer counts, equal in any combine order.
-  // sx and sy are sums of the members' partials, and their 13-field pack
-  // (with the q[0:10] section) takes the reduction's per-team wide path,
-  // which folds partials in arrival order: at 3 or more threads two runs
-  // may round differently in the last bits (OpenMP leaves the combine
-  // order unspecified). A gap beyond that reassociation error is a bug.
   EXPECT_EQ(q0, q1) << threads << " threads";
-  EXPECT_EQ(res0[2], res1[2]) << threads << " threads";
-  for (int k = 0; k < 2; ++k) {
-    EXPECT_NEAR(res0[k], res1[k], 1e-12 * std::fabs(res1[k]))
-        << threads << " threads";
-  }
+  EXPECT_EQ(res0, res1) << threads << " threads";
 
   const zomp::npb::EpResult expect = zomp::npb::ep_serial(m_native);
   EXPECT_NEAR(res1[0], expect.sx, 1e-7);
