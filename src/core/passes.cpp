@@ -425,10 +425,9 @@ class Folder {
     folded_callees_.insert(callee);
 
     ConstEnv inner = global_env_;
-    for (const auto& cap : stmt.captures) {
-      const std::string param = cap.mode == CaptureMode::kReductionPtr
-                                    ? cap.name + "__red"
-                                    : cap.name;
+    for (std::size_t i = 0; i < stmt.captures.size(); ++i) {
+      const CaptureArg& cap = stmt.captures[i];
+      const std::string& param = callee->params[i].name;
       inner.erase(param);  // parameters shadow globals
       if (cap.mode == CaptureMode::kValue ||
           cap.mode == CaptureMode::kSharedPtr) {

@@ -145,6 +145,10 @@ int run_length(std::size_t i, std::size_t n) {
   return i == 0 ? static_cast<int>(n) : 0;
 }
 
+bool is_firstprivate(const Directive& d, const std::string& n) {
+  return std::ranges::find(d.firstprivate_vars, n) != d.firstprivate_vars.end();
+}
+
 lang::ScheduleSpec clone_schedule(const lang::ScheduleSpec& spec) {
   lang::ScheduleSpec out;
   out.kind = spec.kind;
@@ -421,6 +425,24 @@ class Transformer {
         section_len[n] = r.section_lens[j];
       }
     }
+    // firstprivate + lastprivate (only on `parallel for`): lower_for writes
+    // `a` back through `a__orig`, a second capture of the original, by
+    // pointer. A member copies its by-value captures when it starts, maybe
+    // after that writeback, so `a` is captured from a snapshot taken before
+    // the fork.
+    std::unordered_map<std::string, std::string> source;  // param -> variable
+    std::vector<StmtPtr> snapshots;
+    for (const auto& n : d.lastprivate_vars) {
+      if (!is_firstprivate(d, n)) continue;
+      source[n] = n + "__first";
+      source[n + "__orig"] = n;
+      mode[n + "__orig"] = CaptureMode::kSharedPtr;
+      auto snapshot = Stmt::make(Stmt::Kind::kVarDecl, d.loc);
+      snapshot->name = n + "__first";
+      snapshot->is_const = true;
+      snapshot->init = make_var(n, d.loc);
+      snapshots.push_back(std::move(snapshot));
+    }
     for (const auto& n : captured) {
       if (mode.contains(n)) continue;
       if (d.default_mode == DefaultKind::kNone) {
@@ -482,7 +504,7 @@ class Transformer {
     fork->callee = outlined->name;
     for (const auto& n : captured) {
       CaptureArg cap;
-      cap.name = n;
+      cap.name = source.contains(n) ? source[n] : n;
       cap.mode = mode[n];
       if (cap.mode == CaptureMode::kReductionPtr) {
         cap.reduce_op = red_op[n];
@@ -495,7 +517,11 @@ class Transformer {
     if (d.proc_bind != ProcBindKind::kUnspecified) {
       fork->proc_bind = static_cast<int>(d.proc_bind);
     }
-    return fork;
+    if (snapshots.empty()) return fork;
+    auto block = Stmt::make(Stmt::Kind::kBlock, d.loc);
+    block->stmts = std::move(snapshots);
+    block->stmts.push_back(std::move(fork));
+    return block;
   }
 
   /// How a region uses a variable, for the default(none) suggestion.
@@ -756,9 +782,11 @@ class Transformer {
     // same flag is correct there.)
     for (const auto& n : d.lastprivate_vars) {
       const std::string priv = n + "__lp";
+      const bool first = is_firstprivate(d, n);
       auto decl = Stmt::make(Stmt::Kind::kVarDecl, d.loc);
       decl->name = priv;
-      // The init names the source variable so sema can type the private
+      // With firstprivate, the init reads the member's own by-value copy.
+      // Otherwise it names the source variable so sema can type the private
       // copy, but it is a type hint only: backends value-initialize.
       // Actually reading the shared variable here would race the
       // lastprivate writeback of a member that finished a nowait loop
@@ -766,10 +794,10 @@ class Transformer {
       auto init = Expr::make(Expr::Kind::kVarRef, d.loc);
       init->name = n;
       decl->init = std::move(init);
-      decl->init_is_type_hint = true;
+      decl->init_is_type_hint = !first;
       prolog.push_back(std::move(decl));
       rename_in_body(n, priv);
-      ws->lastprivate.emplace_back(priv, n);
+      ws->lastprivate.emplace_back(priv, first ? n + "__orig" : n);
     }
 
     if (standalone && !d.reductions.empty()) {

@@ -260,17 +260,15 @@ struct SavedBinding {
   u64 ws_seq;
   u64 single_seq;
   u64 red_seq;
-  u64 phase_seq;
   MemberDispatch dispatch;
   TaskContext* current_task;
   i32 place_num;
 };
 
 SavedBinding save(const ThreadState& ts) {
-  return SavedBinding{ts.team,       ts.tid,        ts.icv,
-                      ts.ws_seq,     ts.single_seq, ts.red_seq,
-                      ts.phase_seq,  ts.dispatch,   ts.current_task,
-                      ts.place_num};
+  return SavedBinding{ts.team,     ts.tid,          ts.icv,
+                      ts.ws_seq,   ts.single_seq,   ts.red_seq,
+                      ts.dispatch, ts.current_task, ts.place_num};
 }
 
 void restore(ThreadState& ts, const SavedBinding& s) {
@@ -284,8 +282,6 @@ void restore(ThreadState& ts, const SavedBinding& s) {
   // resuming the outer region with a rewound sequence would match stale
   // tokens (wrong partials) or spin on tokens never published (deadlock).
   ts.red_seq = s.red_seq;
-  // Same argument for the PhaseSync phase counter (algo constructs).
-  ts.phase_seq = s.phase_seq;
   ts.dispatch = s.dispatch;
   ts.current_task = s.current_task;
   // The *logical* place assignment of the enclosing region comes back; the

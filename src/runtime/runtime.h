@@ -7,7 +7,6 @@
 #pragma once
 
 #include "runtime/abi.h"        // IWYU pragma: export
-#include "runtime/algo.h"       // IWYU pragma: export
 #include "runtime/api.h"        // IWYU pragma: export
 #include "runtime/barrier.h"    // IWYU pragma: export
 #include "runtime/env.h"        // IWYU pragma: export

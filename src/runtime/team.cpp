@@ -130,8 +130,7 @@ Team::Team(std::vector<ThreadState*> members, Icv icv, i32 level,
       active_level_(active_level),
       implicit_ctx_(members_.size()),
       tasks_(static_cast<i32>(members_.size())),
-      reduce_tree_(static_cast<i32>(members_.size())),
-      phase_sync_(static_cast<i32>(members_.size())) {
+      reduce_tree_(static_cast<i32>(members_.size())) {
   ZOMP_CHECK(!members_.empty(), "team must have at least one member");
   for (std::size_t i = 0; i < members_.size(); ++i) {
     ThreadState& ts = *members_[i];
@@ -141,7 +140,6 @@ Team::Team(std::vector<ThreadState*> members, Icv icv, i32 level,
     ts.ws_seq = 0;
     ts.single_seq = 0;
     ts.red_seq = 0;
-    ts.phase_seq = 0;
     ts.dispatch = MemberDispatch{};
     ts.current_task = &implicit_ctx_[i];
   }
@@ -166,7 +164,6 @@ void Team::rearm(const Icv& icv, i32 level, i32 active_level) {
   master.ws_seq = master_ws_seq_;
   master.single_seq = master_single_seq_;
   master.red_seq = master_red_seq_;
-  master.phase_seq = master_phase_seq_;
   master.dispatch = MemberDispatch{};
   master.current_task = &implicit_ctx_[0];
   icv_ = icv;  // workers copy this when they take the doorbell job
@@ -184,7 +181,6 @@ void Team::checkpoint_master() {
   master_ws_seq_ = master.ws_seq;
   master_single_seq_ = master.single_seq;
   master_red_seq_ = master.red_seq;
-  master_phase_seq_ = master.phase_seq;
 }
 
 void Team::set_binding(BindingPlan plan) {
@@ -748,24 +744,6 @@ bool Team::reduce_combine(ThreadState& ts, void* data, std::size_t size,
   // reduction constructs in the same order within a region).
   const u64 seq = ++ts.red_seq;
   return reduce_tree_.combine(ts.tid, seq, data, size, fn, ctx, broadcast);
-}
-
-void Team::phase_publish(ThreadState& ts, u64 seq, const void* data,
-                         std::size_t size) {
-  ZOMP_CHECK(ts.team == this, "phase publish from non-member thread");
-  phase_sync_.publish(ts.tid, seq, data, size);
-}
-
-bool Team::phase_await(i32 member, u64 seq, void* out, std::size_t size) {
-  // Abandonable like the PR 8 barriers: a pending cancel-parallel calls the
-  // whole algorithm off — the publisher we wait on may already have bailed
-  // without publishing, so the wait must not outlive the cancellation.
-  return phase_sync_.await(member, seq, out, size, &cancel_request_,
-                           kCancelParallel);
-}
-
-bool Team::phase_await_all(u64 seq) {
-  return phase_sync_.await_all(seq, &cancel_request_, kCancelParallel);
 }
 
 bool Team::single_begin(ThreadState& ts) {

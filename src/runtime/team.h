@@ -62,11 +62,6 @@ struct ThreadState {
   u64 ws_seq = 0;      ///< worksharing constructs encountered in this region
   u64 single_seq = 0;  ///< single constructs encountered in this region
   u64 red_seq = 0;     ///< reduction constructs encountered in this region
-  /// Phase points published through the team's PhaseSync (zomp::algo
-  /// constructs; DESIGN.md S11). Monotonic across hot-team reuses exactly
-  /// like red_seq — rearm/checkpoint and the nested-fork save/restore carry
-  /// it, so stale tokens can never alias a later phase.
-  u64 phase_seq = 0;
   MemberDispatch dispatch;  ///< cursor for the in-flight dispatch construct
 
   /// Innermost executing task context; points into the team's implicit-task
@@ -356,36 +351,6 @@ class Team {
   bool reduce_combine(ThreadState& ts, void* data, std::size_t size,
                       ReduceCombineFn fn, void* ctx, bool broadcast);
 
-  // -- Phase synchronisation (zomp::algo; DESIGN.md S11) ---------------------
-  //
-  // Thin cancellation-aware wrappers over the team's PhaseSync. Every member
-  // of a multi-phase algorithm passes the same phase points in the same
-  // order; phase_next() advances the calling member's counter and returns
-  // the team-wide phase number, publish/await move payloads between members,
-  // and the await forms are abandonable: false means `cancel parallel` is
-  // pending and the caller must run to the region end without publishing
-  // further phases (every other awaiter bails on the same flag, so nobody is
-  // left waiting on a member that went quiet).
-
-  /// Advances and returns the calling member's next phase number. All
-  /// members must call this once per phase point, including members whose
-  /// slice of the work is empty — the number is a team-wide identity.
-  u64 phase_next(ThreadState& ts) { return ++ts.phase_seq; }
-
-  /// Publishes the calling member's arrival at `seq` with an optional
-  /// payload (<= PhaseSync::kSlotBytes bytes).
-  void phase_publish(ThreadState& ts, u64 seq, const void* data = nullptr,
-                     std::size_t size = 0);
-
-  /// Waits for `member` to publish phase `seq`, copying its payload out.
-  /// False = abandoned under a pending cancel-parallel.
-  [[nodiscard]] bool phase_await(i32 member, u64 seq, void* out = nullptr,
-                                 std::size_t size = 0);
-
-  /// Waits for every member to publish phase `seq` (a phase barrier without
-  /// the task-drain obligation of barrier_wait). Same abandonment contract.
-  [[nodiscard]] bool phase_await_all(u64 seq);
-
   // -- Join bookkeeping ------------------------------------------------------
 
   /// Non-master members call this as their very last access to the team.
@@ -503,16 +468,10 @@ class Team {
 
   ReductionTree reduce_tree_;
 
-  /// Per-member phase slots for the algo-layer constructs (barrier.h).
-  /// Survives hot-team recycling without reset — phase numbers are
-  /// monotonic across regions, like the reduction tree's tokens.
-  PhaseSync phase_sync_;
-
   /// Master sequence counters persisted across hot-team reuses (see rearm).
   u64 master_ws_seq_ = 0;
   u64 master_single_seq_ = 0;
   u64 master_red_seq_ = 0;
-  u64 master_phase_seq_ = 0;
 
   alignas(kCacheLine) std::atomic<i32> checked_out_{0};
 };

@@ -394,6 +394,19 @@ std::vector<Place> per_proc_places() {
   return places;
 }
 
+/// `n` places over the usable processors, one each, reused round-robin:
+/// on a host with fewer than `n` usable processors the places share them
+/// (all of them share processor 0 under `taskset -c 0`). Every mask stays
+/// applicable, so multi-place paths bind and run on any host.
+std::vector<Place> round_robin_places(int n) {
+  const auto& procs = Topology::instance().procs();
+  std::vector<Place> places(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    places[i].procs.push_back(procs[i % procs.size()].os_proc);
+  }
+  return places;
+}
+
 #if defined(__linux__)
 std::vector<rt::i32> current_os_mask() {
   std::vector<rt::i32> out;
@@ -456,19 +469,10 @@ TEST(BindingRoundTripTest, CloseAndSpreadObservableInsideRegions) {
 }
 
 TEST(BindingRoundTripTest, SpreadGroupsAreDisjointWhenOversubscribed) {
-  // The acceptance scenario end-to-end, adapted to whatever machine the test
-  // runs on: two places, four threads, spread -> two disjoint groups.
+  // The acceptance scenario end-to-end: two places, four threads, spread ->
+  // two disjoint groups.
   PlaceTableGuard guard;
-  auto places = per_proc_places();
-  if (places.size() < 2) {
-    GTEST_SKIP() << "needs >= 2 usable processors";
-  }
-  // Exactly two places, splitting the usable procs.
-  std::vector<Place> two(2);
-  for (std::size_t i = 0; i < places.size(); ++i) {
-    two[i < places.size() / 2 ? 0 : 1].procs.push_back(places[i].procs[0]);
-  }
-  PlaceTable::instance().set_for_test(two);
+  PlaceTable::instance().set_for_test(round_robin_places(2));
 
   std::mutex mu;
   std::vector<std::pair<int, int>> tid_place;
@@ -537,9 +541,7 @@ TEST(BindingRoundTripTest, ProcBindListDrivesUnclausedRegions) {
 
 TEST(BindingRoundTripTest, PartitionQueriesInsideSpread) {
   PlaceTableGuard guard;
-  auto places = per_proc_places();
-  if (places.size() < 2) GTEST_SKIP() << "needs >= 2 places";
-  PlaceTable::instance().set_for_test(places);
+  PlaceTable::instance().set_for_test(round_robin_places(4));
   const int K = PlaceTable::instance().num_places();
   EXPECT_EQ(num_places(), K);
   EXPECT_EQ(partition_num_places(), K) << "initial partition = whole table";
@@ -702,8 +704,9 @@ TEST(HotTeamAffinityTest, RearmSkipsTheAffinitySyscall) {
 }
 
 TEST(HotTeamAffinityTest, BindChangeRebuildsAndRebinds) {
+  // Four places, so the close and spread plans of a 2-member team differ.
   PlaceTableGuard guard;
-  PlaceTable::instance().set_for_test(per_proc_places());
+  PlaceTable::instance().set_for_test(round_robin_places(4));
   rt::Team* close_team = nullptr;
   rt::Team* spread_team = nullptr;
   ParallelOptions close_opts;
@@ -716,18 +719,14 @@ TEST(HotTeamAffinityTest, BindChangeRebuildsAndRebinds) {
            close_opts);
   parallel([&] { master([&] { spread_team = rt::current_thread().team; }); },
            spread_opts);
-  if (PlaceTable::instance().num_places() >= 2) {
-    EXPECT_NE(close_team, spread_team)
-        << "binding signature is part of the cache key";
-  }
+  EXPECT_NE(close_team, spread_team)
+      << "binding signature is part of the cache key";
   // Alternating bind kinds now hits both cached entries.
   for (int i = 0; i < 10; ++i) {
     rt::Team* t = nullptr;
     const ParallelOptions& opts = (i % 2 == 0) ? close_opts : spread_opts;
     parallel([&] { master([&] { t = rt::current_thread().team; }); }, opts);
-    if (PlaceTable::instance().num_places() >= 2) {
-      ASSERT_EQ(t, (i % 2 == 0) ? close_team : spread_team) << "round " << i;
-    }
+    ASSERT_EQ(t, (i % 2 == 0) ? close_team : spread_team) << "round " << i;
   }
 }
 
