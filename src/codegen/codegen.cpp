@@ -1173,16 +1173,7 @@ class Emitter {
   /// target (the ensuing barrier publishes it) — see runtime/reduce.h. Only
   /// the pack's address reaches the runtime, never a private's, so the
   /// accumulator stays in a register through the loop (DESIGN.md S7).
-  ///
-  /// A construct that reduces a section deposits one row per team member
-  /// instead: its own partials in its row, identities in the others. The
-  /// combine merges rows exactly in whatever order the runtime calls it
-  /// (a section pack usually exceeds the tree's inline slot, and the wide
-  /// path combines in arrival order), and the winner folds the rows in
-  /// member order, so the result is bitwise repeatable at a fixed team size.
   void emit_reduce_pack(const std::vector<const Stmt*>& run) {
-    bool rows = false;
-    for (const Stmt* s : run) rows = rows || s->section_len > 0;
     line() << "{";
     out_ << '\n';
     open();
@@ -1190,7 +1181,6 @@ class Emitter {
     out_ << '\n';
     const std::string pack = fresh("redpack");
     line() << "struct " << pack << "_t {";
-    if (rows) out_ << " std::int64_t n;";
     for (std::size_t i = 0; i < run.size(); ++i) {
       const Stmt& s = *run[i];
       if (s.section_len > 0) {
@@ -1209,101 +1199,34 @@ class Emitter {
     out_ << '\n';
     line() << "const auto* __y = static_cast<const " << pack << "_t*>(__b);";
     out_ << '\n';
-    if (rows) {
-      line() << "for (std::int64_t __r = 0, __n = __x->n; __r < __n; "
-             << "++__r, ++__x, ++__y) {";
-      out_ << '\n';
-      open();
-    }
     for (std::size_t i = 0; i < run.size(); ++i) {
       const std::string field = "v" + std::to_string(i);
       emit_field_combine(*run[i], "__x->" + field, "__y->" + field);
     }
-    if (rows) {
-      close();
-      line() << "}";
-      out_ << '\n';
-    }
     close();
     line() << "} };";
     out_ << '\n';
-    if (rows) {
-      emit_row_pack(run, loc, pack);
-    } else {
-      line() << pack << "_t " << pack << "{";
-      for (std::size_t i = 0; i < run.size(); ++i) {
-        if (i > 0) out_ << ", ";
-        out_ << var_name(run[i]->symbol);
-      }
-      out_ << "};\n";
-      line() << "if (zomp_reduce(&" << loc << ", __gtid, &" << pack
-             << ", sizeof(" << pack << "), &" << pack << "_s::run)) {";
-      out_ << '\n';
-      open();
-      for (std::size_t i = 0; i < run.size(); ++i) {
-        emit_field_combine(*run[i], var_name(run[i]->target_symbol),
-                           pack + ".v" + std::to_string(i));
-      }
-      close();
-      line() << "}";
-      out_ << '\n';
+    // An array field cannot be brace-initialised from the private array:
+    // a section's field starts as {} and is copied in element-wise.
+    line() << pack << "_t " << pack << "{";
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (i > 0) out_ << ", ";
+      out_ << (run[i]->section_len > 0 ? "{}" : var_name(run[i]->symbol));
     }
-    close();
-    line() << "}";
-    out_ << '\n';
-  }
-
-  /// The row pack of a construct that reduces a section (see
-  /// emit_reduce_pack): every row starts as the identities, this member
-  /// fills its own, and the winner checks each section against its slice
-  /// (as the interpreter does) before folding the rows in member order.
-  void emit_row_pack(const std::vector<const Stmt*>& run,
-                     const std::string& loc, const std::string& pack) {
-    const std::string n = fresh("members");
-    const std::string rows = fresh("rows");
-    line() << "const std::int64_t " << n << " = zomp_get_num_threads();";
-    out_ << '\n';
-    line() << "const std::unique_ptr<" << pack << "_t[]> " << rows << "(new "
-           << pack << "_t[" << n << "]);";
-    out_ << '\n';
-    line() << "for (std::int64_t __r = 0; __r < " << n << "; ++__r) {";
-    out_ << '\n';
-    open();
-    line() << rows << "[__r].n = " << n << ';';
-    out_ << '\n';
+    out_ << "};\n";
     for (std::size_t i = 0; i < run.size(); ++i) {
       const Stmt& s = *run[i];
-      const std::string field = rows + "[__r].v" + std::to_string(i);
-      if (s.section_len > 0) {
-        line() << section_loop(s) << field << "[__k] = "
-               << identity_text(s.reduce_op, s.symbol->type.element()) << ';';
-      } else {
-        line() << field << " = " << identity_text(s.reduce_op, s.symbol->type)
-               << ';';
-      }
+      if (s.section_len == 0) continue;
+      line() << section_loop(s) << pack << ".v" << i << "[__k] = "
+             << var_name(s.symbol) << "__priv[__k];";
       out_ << '\n';
     }
-    close();
-    line() << "}";
-    out_ << '\n';
-    line() << pack << "_t& " << pack << " = " << rows
-           << "[zomp_get_thread_num()];";
-    out_ << '\n';
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      const Stmt& s = *run[i];
-      const std::string field = pack + ".v" + std::to_string(i);
-      if (s.section_len > 0) {
-        line() << section_loop(s) << field << "[__k] = " << var_name(s.symbol)
-               << "__priv[__k];";
-      } else {
-        line() << field << " = " << var_name(s.symbol) << ';';
-      }
-      out_ << '\n';
-    }
-    line() << "if (zomp_reduce(&" << loc << ", __gtid, " << rows << ".get(), "
-           << n << " * sizeof(" << pack << "_t), &" << pack << "_s::run)) {";
+    line() << "if (zomp_reduce(&" << loc << ", __gtid, &" << pack
+           << ", sizeof(" << pack << "), &" << pack << "_s::run)) {";
     out_ << '\n';
     open();
+    // The winner checks each section against its shared slice (as the
+    // interpreter does) before the fold writes into it.
     for (const Stmt* s : run) {
       if (s->section_len == 0) continue;
       const std::string target = var_name(s->target_symbol);
@@ -1312,12 +1235,9 @@ class Emitter {
              << s->section_len - 1 << ", " << target << ".len);";
       out_ << '\n';
     }
-    line() << "for (std::int64_t __r = 0; __r < " << n << "; ++__r) {";
-    out_ << '\n';
-    open();
     for (std::size_t i = 0; i < run.size(); ++i) {
       emit_field_combine(*run[i], var_name(run[i]->target_symbol),
-                         rows + "[__r].v" + std::to_string(i));
+                         pack + ".v" + std::to_string(i));
     }
     close();
     line() << "}";

@@ -101,10 +101,10 @@ Value combine_values(ReduceOp op, const Value& a, const Value& b,
 /// runtime tree memcpy's its slots, so Value (a variant with non-trivial
 /// alternatives) cannot ride in them directly; sema restricts reductions to
 /// i64/f64/bool, which all fit an entry. Entries are 16 bytes so up to 3
-/// still ride the inline tree slots; longer packs transparently take the
-/// tree's per-team fallback lock — either way the construct costs ONE
-/// rendezvous, whatever its length. The combine function learns the entry
-/// count through its ctx (every member passes its own, all equal).
+/// ride the inline tree slots; a longer pack is read in place from its
+/// owner's buffer — either way the construct costs ONE rendezvous, whatever
+/// its length. The combine function learns the entry count through its ctx
+/// (every member passes its own, all equal).
 struct PackEntry {
   std::uint8_t tag = 0;  // 0 = i64, 1 = f64, 2 = bool
   std::uint8_t op = 0;   // lang::ReduceOp
@@ -396,76 +396,44 @@ class Exec {
   /// of its partials (a section contributes one entry per element), the
   /// tree combines entry-by-entry (each with its own operator), and the
   /// winner alone folds every entry into its shared target; the construct's
-  /// ensuing barrier publishes the writes. A construct that reduces a
-  /// section deposits one row of entries per team member, as the generated
-  /// code does (codegen.cpp emit_reduce_pack): identities except its own
-  /// row, which the combine merges exactly, and the winner folds the rows
-  /// in member order, so the result does not depend on arrival order.
+  /// ensuing barrier publishes the writes.
   void exec_reduce_pack(const std::vector<const Stmt*>& run) {
     rt::ThreadState& ts = rt::current_thread();
-    bool rows = false;
-    for (const Stmt* s : run) rows = rows || s->section_len > 0;
-    // This member's row, and (with rows) the identity row it stands for in
-    // every other member's pack.
-    std::vector<PackEntry> row;
-    std::vector<PackEntry> identities;
-    auto identity = [](const Stmt& s, const lang::Type& type) {
-      return to_pack_entry(identity_value(s.reduce_op, type), s.reduce_op,
-                           s.loc);
-    };
+    std::vector<PackEntry> pack;
     for (const Stmt* s : run) {
       const Value& local = *cell_of(s->symbol, s->loc);
       if (s->section_len == 0) {
-        row.push_back(to_pack_entry(local, s->reduce_op, s->loc));
-        if (rows) identities.push_back(identity(*s, s->symbol->type));
+        pack.push_back(to_pack_entry(local, s->reduce_op, s->loc));
         continue;
       }
-      const PackEntry element_identity =
-          identity(*s, s->symbol->type.element());
       for (const Value& v : *local.as_slice().data) {
-        row.push_back(to_pack_entry(v, s->reduce_op, s->loc));
-        identities.push_back(element_identity);
+        pack.push_back(to_pack_entry(v, s->reduce_op, s->loc));
       }
-    }
-    const std::size_t members =
-        rows ? static_cast<std::size_t>(ts.team->size()) : 1;
-    std::vector<PackEntry> pack;
-    pack.reserve(members * row.size());
-    for (std::size_t r = 0; r < members; ++r) {
-      const bool own = !rows || r == static_cast<std::size_t>(ts.tid);
-      const std::vector<PackEntry>& entries = own ? row : identities;
-      pack.insert(pack.end(), entries.begin(), entries.end());
     }
     std::size_t n = pack.size();
     if (!ts.team->reduce_combine(ts, pack.data(), n * sizeof(PackEntry),
                                  &pack_combine, &n, /*broadcast=*/false)) {
       return;
     }
+    const PackEntry* entry = pack.data();
     for (const Stmt* s : run) {
-      if (s->section_len == 0) continue;
-      const std::int64_t len =
-          cell_of(s->target_symbol, s->loc)->as_slice().len();
-      if (len < s->section_len) {
+      Value& target = *cell_of(s->target_symbol, s->loc);
+      if (s->section_len == 0) {
+        target = combine_values(s->reduce_op, target,
+                                from_pack_entry(*entry++), s->loc);
+        continue;
+      }
+      const SliceVal slice = target.as_slice();
+      if (slice.len() < s->section_len) {
         panic(s->loc, "reduction section [0:" +
                           std::to_string(s->section_len) +
-                          "] exceeds its slice of len " + std::to_string(len));
+                          "] exceeds its slice of len " +
+                          std::to_string(slice.len()));
       }
-    }
-    const PackEntry* entry = pack.data();
-    for (std::size_t r = 0; r < members; ++r) {
-      for (const Stmt* s : run) {
-        Value& target = *cell_of(s->target_symbol, s->loc);
-        if (s->section_len == 0) {
-          target = combine_values(s->reduce_op, target,
-                                  from_pack_entry(*entry++), s->loc);
-          continue;
-        }
-        const SliceVal slice = target.as_slice();
-        for (int k = 0; k < s->section_len; ++k) {
-          Value& element = (*slice.data)[static_cast<std::size_t>(k)];
-          element = combine_values(s->reduce_op, element,
-                                   from_pack_entry(*entry++), s->loc);
-        }
+      for (int k = 0; k < s->section_len; ++k) {
+        Value& element = (*slice.data)[static_cast<std::size_t>(k)];
+        element = combine_values(s->reduce_op, element,
+                                 from_pack_entry(*entry++), s->loc);
       }
     }
   }

@@ -364,6 +364,8 @@ struct Param {
   Symbol* symbol = nullptr;
   /// Set by sema for shared/reduction captures (see Symbol::indirect).
   bool indirect = false;
+  /// Set by sema when such a capture aliases a const variable.
+  bool is_const = false;
 };
 
 struct FnDecl {

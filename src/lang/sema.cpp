@@ -124,9 +124,11 @@ class Sema {
       }
       // Outlined-function params are mutable: value captures of
       // private/firstprivate variables must accept writes, and indirect
-      // (shared) captures must accept writes through the alias.
+      // (shared) captures must accept writes through the alias — unless
+      // the alias is of a const variable.
       param.symbol = declare(param.name, Symbol::Kind::kParam, param.type,
-                             /*is_const=*/!fn.is_outlined, param.loc);
+                             /*is_const=*/!fn.is_outlined || param.is_const,
+                             param.loc);
       param.symbol->indirect = param.indirect;
     }
     if (fn.body) check_stmt(*fn.body);
@@ -625,11 +627,21 @@ class Sema {
       diags_.error(stmt.loc, "task does not support reduction captures");
       ok = false;
     }
+    // A const variable stays const behind an indirect capture. A renamed
+    // one (a reduction's `a__red`, a writeback's `a__orig`) exists only to
+    // be written, so it is rejected here under the name as written; a plain
+    // shared `a` only where the region assigns it.
+    const bool const_alias = indirect && sym->is_const;
+    if (const_alias && callee.params[i].name != cap.name) {
+      diags_.error(stmt.loc, "cannot assign to const '" + cap.name + "'");
+      ok = false;
+    }
     if (param_type.is_invalid()) {
       ok = false;
     } else if (callee.params[i].type.is_inferred()) {
       callee.params[i].type = param_type;
       callee.params[i].indirect = indirect;
+      callee.params[i].is_const = const_alias;
     } else if (callee.params[i].type != param_type ||
                callee.params[i].indirect != indirect) {
       diags_.error(stmt.loc,

@@ -132,7 +132,7 @@ decltype(auto) task_callable(Body&& body) {
 template <typename T, typename Combine>
 T allreduce(T value, Combine&& combine) {
   static_assert(std::is_trivially_copyable_v<T>,
-                "allreduce copies T through raw team slots");
+                "allreduce copies T as raw bytes");
   using C = std::remove_reference_t<Combine>;
   rt::ThreadState& ts = rt::current_thread();
   ts.team->reduce_combine(ts, &value, sizeof(T),
@@ -164,7 +164,7 @@ T parallel_reduce(rt::i64 lo, rt::i64 hi, T identity, Combine&& combine,
                   Body&& body, ForOptions for_opts = {},
                   ParallelOptions par_opts = {}) {
   static_assert(std::is_trivially_copyable_v<T>,
-                "parallel_reduce copies T through raw team slots");
+                "parallel_reduce copies T as raw bytes");
   using C = std::remove_reference_t<Combine>;
   T result = identity;
   parallel(

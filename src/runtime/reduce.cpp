@@ -18,21 +18,16 @@ void wait_at_least(const std::atomic<u64>& cell, u64 target) {
 ReductionTree::ReductionTree(i32 n)
     : n_(n), slots_(static_cast<std::size_t>(n)) {
   ZOMP_CHECK(n >= 1, "reduction tree needs at least one member");
+  for (auto& cell : broadcast_) cell.resize(kSlotBytes);
 }
 
 bool ReductionTree::combine(i32 tid, u64 seq, void* data, std::size_t size,
                             ReduceCombineFn fn, void* ctx, bool broadcast) {
   ZOMP_CHECK(tid >= 0 && tid < n_, "reduction from non-member thread");
   if (n_ == 1) return true;  // data already is the combined value
-  if (size <= kSlotBytes) {
-    return combine_tree(tid, seq, data, size, fn, ctx, broadcast);
-  }
-  return combine_fallback(tid, seq, data, size, fn, ctx, broadcast);
-}
-
-bool ReductionTree::combine_tree(i32 tid, u64 seq, void* data,
-                                 std::size_t size, ReduceCombineFn fn,
-                                 void* ctx, bool broadcast) {
+  // A partial that fits is copied into the slot; a wider one is read in
+  // place from its owner's buffer, whose address the slot carries.
+  const bool wide = size > kSlotBytes;
   const u64 base = seq * kTokenStride;
   // Reuse gate: instance seq-1 must be fully combined before any slot of it
   // may be overwritten. The winner's release of done_seq_ happens-after every
@@ -40,83 +35,51 @@ bool ReductionTree::combine_tree(i32 tid, u64 seq, void* data,
   // the winner through an acquire of the publishing slot's token).
   wait_at_least(done_seq_, seq - 1);
 
+  // Fold the partners of rounds 0, 1, ... into the private buffer: member
+  // tid merges tid+1, tid+2, ... tid+2^(r-1) for r = ctz(tid) rounds, and
+  // the winner (tid 0) walks 1, 2, 4, ... to the team's end. Round r's
+  // partner publishes once its own subtree of height r is complete, so the
+  // winner's wait chain is the log2(n) critical path.
+  const i32 rounds = tid == 0 ? std::bit_width(static_cast<u32>(n_ - 1))
+                               : std::countr_zero(static_cast<u32>(tid));
+  for (i32 r = 0; r < rounds; ++r) {
+    const i32 partner = tid + (i32{1} << r);
+    if (partner >= n_) break;  // subtree truncated by team size
+    Slot& ps = slots_[static_cast<std::size_t>(partner)];
+    wait_at_least(ps.token, base + static_cast<u64>(r));
+    const void* partial = ps.data;
+    if (wide) std::memcpy(&partial, ps.data, sizeof partial);
+    fn(ctx, data, partial);
+  }
+
   if (tid == 0) {
-    // Winner: fold partner subtrees 1, 2, 4, ... directly into `data`. Round
-    // r's partner publishes once its own subtree of height r is complete, so
-    // the winner's wait chain is the log2(n) critical path.
-    for (i32 r = 0; (i64{1} << r) < n_; ++r) {
-      const i32 partner = i32{1} << r;
-      if (partner >= n_) break;
-      Slot& ps = slots_[static_cast<std::size_t>(partner)];
-      wait_at_least(ps.token, base + static_cast<u64>(r));
-      fn(ctx, data, ps.data);
-    }
     if (broadcast) {
-      std::memcpy(broadcast_[seq & 1].data, data, size);
+      std::vector<unsigned char>& cell = broadcast_[seq & 1];
+      if (cell.size() < size) cell.resize(size);
+      std::memcpy(cell.data(), data, size);
       broadcast_seq_.store(seq, std::memory_order_release);
     }
     done_seq_.store(seq, std::memory_order_release);
     return true;
   }
 
-  // Non-winner: combine the partners of rounds 0 .. ctz(tid)-1 into the
-  // private buffer, then publish the finished subtree in one slot write.
-  const i32 rounds = std::countr_zero(static_cast<u32>(tid));
-  for (i32 r = 0; r < rounds; ++r) {
-    const i32 partner = tid + (i32{1} << r);
-    if (partner >= n_) continue;  // subtree truncated by team size
-    Slot& ps = slots_[static_cast<std::size_t>(partner)];
-    wait_at_least(ps.token, base + static_cast<u64>(r));
-    fn(ctx, data, ps.data);
-  }
+  // Publish the finished subtree in one slot write.
   Slot& mine = slots_[static_cast<std::size_t>(tid)];
-  std::memcpy(mine.data, data, size);
+  if (wide) {
+    std::memcpy(mine.data, &data, sizeof data);
+  } else {
+    std::memcpy(mine.data, data, size);
+  }
   mine.token.store(base + static_cast<u64>(rounds), std::memory_order_release);
 
   if (broadcast) {
+    // The winner publishes the result after its last fold, so a wide
+    // buffer's readers are done too.
     wait_at_least(broadcast_seq_, seq);
-    std::memcpy(data, broadcast_[seq & 1].data, size);
-  }
-  return false;
-}
-
-bool ReductionTree::combine_fallback(i32 tid, u64 seq, void* data,
-                                     std::size_t size, ReduceCombineFn fn,
-                                     void* ctx, bool broadcast) {
-  wait_at_least(done_seq_, seq - 1);
-
-  if (tid == 0) {
-    fb_acc_.store(data, std::memory_order_relaxed);
-    fb_ready_seq_.store(seq, std::memory_order_release);
-    Backoff backoff;
-    while (fb_contributed_.load(std::memory_order_acquire) < n_ - 1) {
-      backoff.pause();
-    }
-    if (broadcast) {
-      // Contributions are in; readers copy out of our buffer, and we must
-      // not return (invalidating it) until every one of them acknowledged.
-      fb_result_seq_.store(seq, std::memory_order_release);
-      backoff.reset();
-      while (fb_acked_.load(std::memory_order_acquire) < n_ - 1) {
-        backoff.pause();
-      }
-    }
-    fb_contributed_.store(0, std::memory_order_relaxed);
-    fb_acked_.store(0, std::memory_order_relaxed);
-    done_seq_.store(seq, std::memory_order_release);
-    return true;
-  }
-
-  wait_at_least(fb_ready_seq_, seq);
-  void* acc = fb_acc_.load(std::memory_order_relaxed);
-  fb_lock_.set();
-  fn(ctx, acc, data);
-  fb_lock_.unset();
-  fb_contributed_.fetch_add(1, std::memory_order_acq_rel);
-  if (broadcast) {
-    wait_at_least(fb_result_seq_, seq);
-    std::memcpy(data, acc, size);  // no writers after the winner's release
-    fb_acked_.fetch_add(1, std::memory_order_acq_rel);
+    std::memcpy(data, broadcast_[seq & 1].data(), size);
+  } else if (wide) {
+    // Our buffer is read in place: it must outlive the instance's folds.
+    wait_at_least(done_seq_, seq);
   }
   return false;
 }

@@ -21,12 +21,16 @@
 // barrier for `parallel ... reduction`, this rendezvous for the high-level
 // allreduce), down from three in the seed protocol.
 //
-// Values larger than a slot's inline capacity take a per-team fallback lock
-// (still not global): members serialise their combines into the winner's
-// buffer. Construct instances are identified by a per-member sequence number
-// (same team-wide identity argument as DispatchSlot matching); a `done_seq`
-// epoch gates slot reuse so back-to-back `nowait` reductions cannot overwrite
-// a slot the previous combine is still reading.
+// A partial that fits a slot's inline bytes is copied into the slot. A wider
+// one stays in its owner's buffer and the slot carries its address: the
+// consumer folds it in place, so the owner waits until the winner has
+// finished the instance before it returns (its buffer must outlive every
+// read). Either way the tree folds in one fixed order, so any pack is
+// bitwise repeatable at a fixed team size. Construct instances are
+// identified by a per-member sequence number (same team-wide identity
+// argument as DispatchSlot matching); a `done_seq` epoch gates slot reuse so
+// back-to-back `nowait` reductions cannot overwrite a slot the previous
+// combine is still reading.
 //
 // Every construct packs into ONE rendezvous: a directive with k >= 1
 // reduction clauses (`reduction(+: a) reduction(max: b) ...`) costs one
@@ -34,9 +38,8 @@
 // (Stmt::red_pack) and both backends deposit a single struct payload whose
 // fields are the k partials (a single variable is a pack of one); the
 // combine function applies each variable's operator to its own field.
-// Payloads beyond kSlotBytes transparently take the fallback-lock path —
-// still one rendezvous, never k. The payload is opaque to the tree: `size`
-// and `fn` are simply those of the struct.
+// The payload is opaque to the tree: `size` and `fn` are simply those of
+// the struct.
 //
 // The tree belongs to exactly one Team and survives hot-team recycling
 // (pool.h) without any reset: instance sequence numbers are monotonic
@@ -50,7 +53,6 @@
 #include <vector>
 
 #include "runtime/common.h"
-#include "runtime/lock.h"
 
 namespace zomp::rt {
 
@@ -63,7 +65,8 @@ using ReduceCombineFn = void (*)(void* ctx, void* lhs, const void* rhs);
 class ReductionTree {
  public:
   /// Inline payload capacity of one slot: token + data fill exactly one
-  /// cache line. Larger values use the per-team lock fallback.
+  /// cache line. A larger value stays in its owner's buffer, and the slot
+  /// carries its address.
   static constexpr std::size_t kSlotBytes = kCacheLine - sizeof(std::atomic<u64>);
 
   explicit ReductionTree(i32 n);
@@ -95,34 +98,20 @@ class ReductionTree {
   };
   static_assert(sizeof(Slot) == kCacheLine, "slot must fill one cache line");
 
-  struct alignas(kCacheLine) BroadcastCell {
-    unsigned char data[kSlotBytes];
-  };
-
-  bool combine_tree(i32 tid, u64 seq, void* data, std::size_t size,
-                    ReduceCombineFn fn, void* ctx, bool broadcast);
-  bool combine_fallback(i32 tid, u64 seq, void* data, std::size_t size,
-                        ReduceCombineFn fn, void* ctx, bool broadcast);
-
   const i32 n_;
   std::vector<Slot> slots_;
 
   /// Result area for allreduce, double-buffered by seq parity: readers of
   /// instance k finish before any member deposits for k+1, which the winner
-  /// of k+1 must observe before it can write buffer (k+1)&1 == (k-1)&1.
-  BroadcastCell broadcast_[2];
+  /// of k+1 must observe before it can write (or grow) buffer
+  /// (k+1)&1 == (k-1)&1. Each starts one slot wide, so packs that fit a
+  /// slot never allocate; the winner grows it for a wider pack.
+  std::vector<unsigned char> broadcast_[2];
   alignas(kCacheLine) std::atomic<u64> broadcast_seq_{0};
 
-  /// Highest fully-combined instance; deposits for seq wait for seq-1.
+  /// Highest fully-combined instance; deposits for seq wait for seq-1, and
+  /// the owner of a wide partial waits for seq before it returns.
   alignas(kCacheLine) std::atomic<u64> done_seq_{0};
-
-  // -- Oversized-value fallback (per-team lock, winner's buffer) ------------
-  alignas(kCacheLine) std::atomic<void*> fb_acc_{nullptr};
-  std::atomic<u64> fb_ready_seq_{0};
-  std::atomic<u64> fb_result_seq_{0};
-  alignas(kCacheLine) std::atomic<i32> fb_contributed_{0};
-  alignas(kCacheLine) std::atomic<i32> fb_acked_{0};
-  Lock fb_lock_;
 };
 
 }  // namespace zomp::rt

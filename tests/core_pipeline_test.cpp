@@ -90,6 +90,36 @@ fn f(n: i64) void {
   EXPECT_FALSE(result.ok);
 }
 
+// A region writes a const variable through its capture: the body assigns
+// the shared `a`, the winner's combine folds into it, or the last
+// iteration writes it back. Each is rejected as the same assignment in a
+// serial loop is, naming the variable as written.
+class ConstCaptureWriteTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ConstCaptureWriteTest, Rejected) {
+  const std::string source = std::string(R"(
+fn f(n: i64) i64 {
+  const a: i64 = 5;
+  //#omp parallel for )") + GetParam() + R"(
+  for (0..n) |i| {
+    a = i;
+  }
+  return a;
+}
+)";
+  auto result = compile_source(source);
+  EXPECT_FALSE(result.ok) << GetParam();
+  const std::string text = result.diagnostics_text();
+  EXPECT_NE(text.find("'a'"), std::string::npos) << text;
+  EXPECT_NE(text.find("const"), std::string::npos) << text;
+  EXPECT_EQ(text.find("a__"), std::string::npos) << text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Clauses, ConstCaptureWriteTest,
+    ::testing::Values("", "reduction(+: a)", "lastprivate(a)",
+                      "firstprivate(a) lastprivate(a)"));
+
 TEST(PipelineTest, CapturedSliceRebindWarningFreeButWorks) {
   // Rebinding a value-captured slice header inside a region must type-check
   // (the write hits the copy; sharing applies to the payload only).

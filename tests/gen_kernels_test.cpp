@@ -29,9 +29,10 @@ mz::Slice<T> slice_of(std::vector<T>& v) {
 
 TEST(GenEpTest, TranspiledMatchesSerialReference) {
   // The histogram is an array-section reduction packed with sx, sy and the
-  // pair count (13 fields in each member's row, the reduction's per-team
-  // wide path); 3 threads make a team whose size is not a power of two.
-  // The rows fold in member order, so repeated runs agree bit for bit.
+  // pair count (13 fields, 104 bytes: wider than a tree slot, so each
+  // partial is read in place from its member's pack); 3 threads make a team
+  // whose size is not a power of two. The tree folds in member order, so
+  // repeated runs agree bit for bit.
   const zomp::npb::EpResult expect = zomp::npb::ep_serial(18);
   for (const int threads : {1, 2, 3, 4}) {
     std::vector<double> q(10, 0.0), res(3, 0.0);

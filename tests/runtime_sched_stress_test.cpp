@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <random>
 #include <thread>
 #include <vector>
@@ -385,10 +386,53 @@ TEST(SchedStressTest, ReduceEachUnderDynamicScheduleStress) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(SchedStressTest, OversizedReductionTakesFallbackLockPath) {
-  // A payload wider than a slot's inline capacity must route through the
-  // per-team fallback lock, including the broadcast acknowledgement
-  // handshake, and still combine exactly once per member.
+TEST(SchedStressTest, BackToBackWideReductionsWithoutBarriers) {
+  // A partial wider than a slot is read in place from its owner's buffer,
+  // so a non-winner must not return, and refill that buffer for the next
+  // round, before the instance's last fold. Rounds run back to back with
+  // no barrier between them, and the winner checks exact sums every round.
+  struct Wide {
+    std::int64_t v[16];  // 128 bytes > ReductionTree::kSlotBytes
+  };
+  static_assert(sizeof(Wide) > rt::ReductionTree::kSlotBytes);
+  static constexpr zomp_ident_t kLoc = {__FILE__, "reduction", __LINE__};
+  constexpr std::int64_t kRounds = 20000;
+  for (const std::int64_t threads : {3, 4}) {
+    std::atomic<int> mismatches{0};
+    parallel(
+        [&] {
+          const std::int64_t tid = thread_num();
+          const auto add = [](void* lhs, const void* rhs) {
+            auto* x = static_cast<Wide*>(lhs);
+            const auto* y = static_cast<const Wide*>(rhs);
+            for (int k = 0; k < 16; ++k) x->v[k] += y->v[k];
+          };
+          Wide mine;
+          for (std::int64_t r = 0; r < kRounds; ++r) {
+            for (int k = 0; k < 16; ++k) mine.v[k] = (tid + 1) * (r + 1) + k;
+            if (!zomp_reduce(&kLoc, static_cast<std::int32_t>(tid), &mine,
+                             sizeof(mine), add)) {
+              continue;
+            }
+            for (int k = 0; k < 16; ++k) {
+              const std::int64_t want =
+                  threads * (threads + 1) / 2 * (r + 1) + threads * k;
+              if (mine.v[k] != want) {
+                mismatches.fetch_add(1, std::memory_order_relaxed);
+              }
+            }
+          }
+        },
+        ParallelOptions{static_cast<rt::i32>(threads), true});
+    EXPECT_EQ(mismatches.load(), 0) << threads << " threads";
+  }
+}
+
+TEST(SchedStressTest, WideReductionBroadcastReachesEveryMember) {
+  // A payload wider than a slot's inline capacity is read in place from
+  // its owner's buffer; the allreduce hands the result to every member
+  // through the team's broadcast buffer, which the winner grows to fit,
+  // and still combines exactly once per member.
   struct Big {
     std::int64_t v[16];  // 128 bytes > ReductionTree::kSlotBytes
   };

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -427,6 +430,55 @@ TEST(ReduceTest, MinMaxCombines) {
       0, 1000, -1e300, [](double x, double y) { return std::max(x, y); },
       [](rt::i64 i) { return static_cast<double>((i * 37 + 11) % 1000); });
   EXPECT_EQ(mx, 999.0);
+}
+
+TEST(ReduceTest, WidePackIgnoresArrivalOrder) {
+  // A pack of 8 f64 is wider than a slot's inline bytes. Member 0 arrives
+  // first; the others arrive in member order in one run and in reverse in
+  // the other. Member 0's 1e16 absorbs a small partial folded into it, and
+  // member n-1's -1e16 then cancels it, so a fold in arrival order reads 0
+  // in one run and the small partials' sum in the other. The tree's fixed
+  // order makes both runs agree bit for bit.
+  struct Pack {
+    double v[8];
+  };
+  static_assert(sizeof(Pack) > rt::ReductionTree::kSlotBytes);
+  static constexpr zomp_ident_t kLoc = {__FILE__, "reduction", __LINE__};
+  const auto run = [](int threads, bool reverse) {
+    Pack result{};
+    parallel(
+        [&] {
+          const int tid = thread_num();
+          if (tid != 0) {
+            const int place = reverse ? threads - tid : tid;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20 * place));
+          }
+          const double mine_v =
+              tid == 0 ? 1e16 : (tid == threads - 1 ? -1e16 : 1.0);
+          Pack mine{};
+          for (double& v : mine.v) v = mine_v;
+          const auto add = [](void* lhs, const void* rhs) {
+            auto* x = static_cast<Pack*>(lhs);
+            const auto* y = static_cast<const Pack*>(rhs);
+            for (int k = 0; k < 8; ++k) x->v[k] += y->v[k];
+          };
+          if (zomp_reduce(&kLoc, tid, &mine, sizeof(mine), add)) {
+            result = mine;
+          }
+        },
+        ParallelOptions{threads, true});
+    return result;
+  };
+  for (const int threads : {3, 4}) {
+    const Pack in_order = run(threads, /*reverse=*/false);
+    const Pack reversed = run(threads, /*reverse=*/true);
+    for (int k = 0; k < 8; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(in_order.v[k]),
+                std::bit_cast<std::uint64_t>(reversed.v[k]))
+          << threads << " threads, v[" << k << "] reads " << in_order.v[k]
+          << " vs " << reversed.v[k];
+    }
+  }
 }
 
 TEST(BarrierApiTest, BarrierSeparatesPhases) {
