@@ -1,15 +1,11 @@
-// Optimizer pass pipeline benches (mzc -O1, core/passes.h) — the perf
-// evidence behind the PR's acceptance gates:
+// Generated-code benches for mzc's two loop lowerings and its two
+// optimizer levels (core/passes.h):
 //
-//   BM_StaticSpecialized vs BM_StaticStrided vs BM_RingDispatch
-//     The same parallel sum partitioned three ways at ABI level:
-//     zomp_static_range (the `static-spec` lowering: one call, one
-//     contiguous block), the general zomp_for_static_init strided
-//     protocol, and the zomp_dispatch_* ring the specialization bypasses.
-//
-//   BM_FusedRegions vs BM_BackToBackForks
-//     Two loop bodies executed inside ONE fork with an internal barrier
-//     (the `fuse` lowering) vs two complete fork/join cycles.
+//   BM_StaticStrided vs BM_RingDispatch
+//     The same parallel sum partitioned two ways at ABI level: the
+//     zomp_for_static_init strided protocol mzc emits for schedule(static),
+//     and the zomp_dispatch_* ring it emits for dynamic, guided and
+//     runtime schedules.
 //
 //   BM_Table1ClassS_*
 //     The transpiled NPB kernels at class S, -O0 vs -O1 builds of the
@@ -51,16 +47,7 @@ PaddedSum g_sums[kMaxThreads];
 
 const zomp_ident_t kLoc{"mzc_opt.cpp", "bench", 0};
 
-// The three partitioning protocols, each the literal shape mzc emits.
-
-void microtask_static_spec(std::int32_t gtid, std::int32_t tid, void**) {
-  std::int64_t lo = 0, hi = 0;
-  std::int32_t last = 0;
-  zomp_static_range(&kLoc, gtid, 0, kIters, &lo, &hi, &last);
-  std::int64_t s = 0;
-  for (std::int64_t i = lo; i < hi; ++i) s += i;
-  g_sums[tid].v = s;
-}
+// The two partitioning protocols, each the literal shape mzc emits.
 
 void microtask_static_strided(std::int32_t gtid, std::int32_t tid, void**) {
   std::int64_t lo = 0, hi = 0, stride = 0;
@@ -103,16 +90,6 @@ void thread_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
-void BM_StaticSpecialized(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    if (run_fork(microtask_static_spec, threads) != kExpected) {
-      state.SkipWithError("bad sum");
-    }
-  }
-}
-ZOMP_BENCHMARK(BM_StaticSpecialized)->Apply(thread_args);
-
 void BM_StaticStrided(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -132,56 +109,6 @@ void BM_RingDispatch(benchmark::State& state) {
   }
 }
 ZOMP_BENCHMARK(BM_RingDispatch)->Apply(thread_args);
-
-// -- fusion: one fork + internal barrier vs two fork/join cycles -------------
-
-void body_phase(std::int32_t gtid, std::int32_t tid, std::int64_t mult) {
-  std::int64_t lo = 0, hi = 0;
-  std::int32_t last = 0;
-  zomp_static_range(&kLoc, gtid, 0, kIters, &lo, &hi, &last);
-  std::int64_t s = 0;
-  for (std::int64_t i = lo; i < hi; ++i) s += i * mult;
-  g_sums[tid].v += s;
-}
-
-void microtask_fused(std::int32_t gtid, std::int32_t tid, void**) {
-  body_phase(gtid, tid, 1);
-  zomp_barrier(&kLoc, gtid);
-  body_phase(gtid, tid, 2);
-}
-
-void microtask_phase1(std::int32_t gtid, std::int32_t tid, void**) {
-  body_phase(gtid, tid, 1);
-}
-
-void microtask_phase2(std::int32_t gtid, std::int32_t tid, void**) {
-  body_phase(gtid, tid, 2);
-}
-
-void BM_FusedRegions(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    if (run_fork(microtask_fused, threads) != 3 * kExpected) {
-      state.SkipWithError("bad sum");
-    }
-  }
-}
-ZOMP_BENCHMARK(BM_FusedRegions)->Apply(thread_args);
-
-void BM_BackToBackForks(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (auto& p : g_sums) p.v = 0;
-    zomp_push_num_threads(&kLoc, threads);
-    zomp_fork_call(&kLoc, microtask_phase1, 0, nullptr);
-    zomp_push_num_threads(&kLoc, threads);
-    zomp_fork_call(&kLoc, microtask_phase2, 0, nullptr);
-    std::int64_t total = 0;
-    for (const auto& p : g_sums) total += p.v;
-    if (total != 3 * kExpected) state.SkipWithError("bad sum");
-  }
-}
-ZOMP_BENCHMARK(BM_BackToBackForks)->Apply(thread_args);
 
 // -- table 1, class S, both opt levels ---------------------------------------
 

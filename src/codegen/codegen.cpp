@@ -857,57 +857,6 @@ class Emitter {
                << ", __gtid);";
         out_ << '\n';
       }
-    } else if (stmt.static_spec && !stmt.schedule.chunk) {
-      // Static-schedule specialization (optimizer static-spec pass): constant
-      // bounds, chunkless blocked static -> ONE contiguous [mylo, myhi) block
-      // per thread from zomp_static_range, one flat loop, no stride stepping
-      // and no zomp_for_static_fini bookkeeping. The runtime reads the
-      // ACTUAL tid/team size, so short pool acquires stay correct even when
-      // the folded num_threads clause was not honoured.
-      const std::string mylo = fresh("mylo");
-      const std::string myhi = fresh("myhi");
-      const std::string last = fresh("last");
-      line() << "std::int64_t " << mylo << " = 0, " << myhi
-             << " = 0; std::int32_t " << last << " = 0;";
-      out_ << '\n';
-      line() << "zomp_static_range(&" << loc << ", __gtid, " << lo << ", "
-             << hi << ", &" << mylo << ", &" << myhi << ", &" << last << ");";
-      out_ << '\n';
-      // A const copy of the escaped out-param, as on the dispatch path.
-      const std::string myend = fresh("myend");
-      line() << "const std::int64_t " << myend << " = " << myhi << ";";
-      out_ << '\n';
-      // Guard the collapse seed: its div chain must not run on an empty
-      // block (the general path gets this for free from the block loop).
-      if (!stmt.collapse.empty()) {
-        line() << "if (" << mylo << " < " << myend << ") {";
-        out_ << '\n';
-        open();
-        emit_collapse_seed(stmt, mylo);
-      }
-      line() << "for (std::int64_t " << iv << " = " << mylo << "; " << iv
-             << " < " << myend << "; ++" << iv;
-      if (!stmt.collapse.empty()) out_ << ", " << odometer_text(stmt);
-      out_ << ") {";
-      out_ << '\n';
-      open();
-      emit_stmt_list(loop.body->stmts);
-      close();
-      line() << "}";
-      out_ << '\n';
-      if (!stmt.collapse.empty()) {
-        close();
-        line() << "}";
-        out_ << '\n';
-      }
-      if (!cancel_for_label_.empty()) {
-        line() << cancel_for_label_ << ": ;";
-        out_ << '\n';
-      }
-      if (track_last) {
-        line() << "if (" << last << ") " << had_last << " = 1;";
-        out_ << '\n';
-      }
     } else {
       const std::string mylo = fresh("mylo");
       const std::string myhi = fresh("myhi");

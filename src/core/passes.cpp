@@ -20,7 +20,6 @@ using lang::ExprPtr;
 using lang::FnDecl;
 using lang::Module;
 using lang::Param;
-using lang::ScheduleSpec;
 using lang::Stmt;
 using lang::StmtPtr;
 
@@ -97,8 +96,8 @@ void collect_assigned_names(const Stmt& root,
 /// every assignment to a const, so no region can write through that pointer
 /// — which is exactly what lets the folder see through the shared capture
 /// of a constant loop bound (the common `const n = ...; parallel for 0..n`
-/// shape the static-spec pass feeds on). Reduction captures are written by
-/// the combine regardless of declared const-ness, so they always disqualify.
+/// shape). Reduction captures are written by the combine regardless of
+/// declared const-ness, so they always disqualify.
 void collect_disqualified_names(const Stmt& root,
                                 std::unordered_set<std::string>& out) {
   std::unordered_set<std::string> const_decls;
@@ -455,307 +454,6 @@ class FoldPass : public Pass {
 };
 
 // ---------------------------------------------------------------------------
-// static-spec — static-schedule specialization
-// ---------------------------------------------------------------------------
-
-class StaticSpecPass : public Pass {
- public:
-  std::string name() const override { return "static-spec"; }
-
-  bool run(Module& module, lang::Diagnostics&, PassStats& stats) override {
-    module_ = &module;
-    stats_ = &stats;
-    visited_.clear();
-    for (auto& fn : module.functions) {
-      if (fn->is_outlined || fn->is_extern || !fn->body) continue;
-      // Outside any region the loop binds to the serial team; the win is in
-      // real teams, so specialization starts at fork sites.
-      visit(*fn->body, /*team_const=*/false);
-    }
-    return true;
-  }
-
- private:
-  static bool eligible(const Stmt& ws) {
-    if (ws.schedule.kind != ScheduleSpec::Kind::kStatic &&
-        ws.schedule.kind != ScheduleSpec::Kind::kUnspecified) {
-      return false;
-    }
-    if (ws.schedule.chunk || ws.ordered) return false;
-    if (!ws.body || ws.body->kind != Stmt::Kind::kForRange) return false;
-    return ws.body->expr && ws.body->expr->kind == Expr::Kind::kIntLit &&
-           ws.body->rhs && ws.body->rhs->kind == Expr::Kind::kIntLit;
-  }
-
-  void visit(Stmt& stmt, bool team_const) {
-    if (stmt.kind == Stmt::Kind::kOmpWsLoop && team_const && eligible(stmt)) {
-      stmt.static_spec = true;
-      ++stats_->static_specialized;
-    }
-    if (stmt.kind == Stmt::Kind::kOmpFork ||
-        stmt.kind == Stmt::Kind::kOmpTask ||
-        stmt.kind == Stmt::Kind::kOmpTaskloop) {
-      FnDecl* callee = module_->find_function(stmt.callee);
-      if (callee != nullptr && callee->is_outlined && callee->body &&
-          !visited_.contains(callee)) {
-        visited_.insert(callee);
-        // Tasks run on the enclosing team but a worksharing loop inside a
-        // task body is not a team construct we specialize; only a fork with
-        // a literal positive num_threads gives the constant team the issue's
-        // gate asks for. (The runtime fast path still reads the delivered
-        // team size, so a short pool acquire stays correct.)
-        const bool tc = stmt.kind == Stmt::Kind::kOmpFork && stmt.num_threads &&
-                        stmt.num_threads->kind == Expr::Kind::kIntLit &&
-                        stmt.num_threads->int_value > 0;
-        visit(*callee->body, tc);
-      }
-      return;
-    }
-    for (auto& s : stmt.stmts) visit(*s, team_const);
-    if (stmt.then_block) visit(*stmt.then_block, team_const);
-    if (stmt.else_block) visit(*stmt.else_block, team_const);
-    if (stmt.step) visit(*stmt.step, team_const);
-    if (stmt.body) visit(*stmt.body, team_const);
-  }
-
-  Module* module_ = nullptr;
-  PassStats* stats_ = nullptr;
-  std::unordered_set<const FnDecl*> visited_;
-};
-
-// ---------------------------------------------------------------------------
-// fuse — parallel-region fusion
-// ---------------------------------------------------------------------------
-
-bool subtree_writes_name(const Stmt& root, const std::string& name) {
-  bool writes = false;
-  walk_stmts(root, [&](const Stmt& s) {
-    if (s.kind == Stmt::Kind::kAssign && s.lhs) {
-      const Expr& l = *s.lhs;
-      if (l.kind == Expr::Kind::kVarRef && l.name == name) writes = true;
-      // element store through a by-value slice header still hits shared data
-      if ((l.kind == Expr::Kind::kIndex || l.kind == Expr::Kind::kDeref) &&
-          !l.args.empty() && l.args[0]->kind == Expr::Kind::kVarRef &&
-          l.args[0]->name == name) {
-        writes = true;
-      }
-    }
-    if ((s.kind == Stmt::Kind::kOmpLastprivateWrite ||
-         s.kind == Stmt::Kind::kOmpReductionCombine) &&
-        s.target == name) {
-      writes = true;
-    }
-    if (s.kind == Stmt::Kind::kOmpWsLoop) {
-      for (const auto& lp : s.lastprivate) {
-        if (lp.second == name) writes = true;
-      }
-    }
-    if (s.kind == Stmt::Kind::kOmpFork || s.kind == Stmt::Kind::kOmpTask ||
-        s.kind == Stmt::Kind::kOmpTaskloop) {
-      for (const auto& c : s.captures) {
-        if (c.name == name && is_ptr_capture(c.mode)) writes = true;
-      }
-    }
-  });
-  return writes;
-}
-
-bool subtree_has_return(const Stmt& root) {
-  bool found = false;
-  walk_stmts(root, [&](const Stmt& s) {
-    if (s.kind == Stmt::Kind::kReturn) found = true;
-  });
-  return found;
-}
-
-class FusePass : public Pass {
- public:
-  std::string name() const override { return "fuse"; }
-
-  bool run(Module& module, lang::Diagnostics&, PassStats& stats) override {
-    // Collect every block first: fusion moves bodies between functions but
-    // never destroys or relocates a Stmt, so the pointers stay valid.
-    std::vector<Stmt*> blocks;
-    for (auto& fn : module.functions) {
-      if (!fn->body) continue;
-      collect_blocks(*fn->body, blocks);
-    }
-    for (Stmt* b : blocks) {
-      auto& ss = b->stmts;
-      std::size_t i = 0;
-      while (i + 1 < ss.size()) {
-        if (try_fuse(module, ss, i, stats)) continue;  // chain greedily
-        ++i;
-      }
-    }
-    return true;
-  }
-
- private:
-  static void collect_blocks(Stmt& stmt, std::vector<Stmt*>& out) {
-    if (stmt.kind == Stmt::Kind::kBlock) out.push_back(&stmt);
-    for (auto& s : stmt.stmts) collect_blocks(*s, out);
-    if (stmt.then_block) collect_blocks(*stmt.then_block, out);
-    if (stmt.else_block) collect_blocks(*stmt.else_block, out);
-    if (stmt.step) collect_blocks(*stmt.step, out);
-    if (stmt.body) collect_blocks(*stmt.body, out);
-  }
-
-  static bool same_int_literal(const ExprPtr& a, const ExprPtr& b) {
-    if (!a && !b) return true;
-    if (!a || !b) return false;
-    return a->kind == Expr::Kind::kIntLit && b->kind == Expr::Kind::kIntLit &&
-           a->int_value == b->int_value;
-  }
-
-  /// Fusion legality. Adjacency is the outer precondition (the two forks are
-  /// consecutive statements of one block — nothing, not even a declaration,
-  /// runs between them). The clause and data-flow rules are:
-  ///   * equal team shape: num_threads both absent or equal literals,
-  ///     if-clause absent on both, proc_bind equal;
-  ///   * a variable captured by both regions must use the same mode (and
-  ///     reduce op and section length) in each — this is what rejects the
-  ///     nowait-unsafe boundaries: a by-value read in region 2 of a variable
-  ///     region 1 writes through a shared/reduction pointer (lastprivate
-  ///     writeback, reduction results) shows up as a mode mismatch;
-  ///   * a variable captured by value in both must not be written by body 1
-  ///     (the fused function has ONE parameter for it: region 2's private
-  ///     copy would otherwise observe region 1's writes);
-  ///   * no `return` in either body (a mid-region return would skip the
-  ///     second body for that thread and desynchronize the barrier).
-  bool try_fuse(Module& module, std::vector<StmtPtr>& ss, std::size_t i,
-                PassStats& stats) {
-    Stmt& s1 = *ss[i];
-    Stmt& s2 = *ss[i + 1];
-    if (s1.kind != Stmt::Kind::kOmpFork || s2.kind != Stmt::Kind::kOmpFork) {
-      return false;
-    }
-    FnDecl* c1 = module.find_function(s1.callee);
-    FnDecl* c2 = module.find_function(s2.callee);
-    if (c1 == nullptr || c2 == nullptr || c1 == c2) return false;
-    if (!c1->is_outlined || !c2->is_outlined || !c1->body || !c2->body) {
-      return false;
-    }
-    if (c1->params.size() != s1.captures.size() ||
-        c2->params.size() != s2.captures.size()) {
-      return false;
-    }
-    if (!same_int_literal(s1.num_threads, s2.num_threads)) return false;
-    if (s1.if_clause || s2.if_clause) return false;
-    if (s1.proc_bind != s2.proc_bind) return false;
-    if (subtree_has_return(*c1->body) || subtree_has_return(*c2->body)) {
-      return false;
-    }
-
-    std::unordered_map<std::string, const CaptureArg*> first;
-    for (const auto& c : s1.captures) first.emplace(c.name, &c);
-    for (const auto& c : s2.captures) {
-      auto it = first.find(c.name);
-      if (it == first.end()) continue;
-      const CaptureArg& f = *it->second;
-      if (f.mode != c.mode) return false;
-      if (c.mode == CaptureMode::kReductionPtr &&
-          (f.reduce_op != c.reduce_op || f.section_len != c.section_len)) {
-        return false;
-      }
-      if (c.mode == CaptureMode::kValue &&
-          subtree_writes_name(*c1->body, c.name)) {
-        return false;
-      }
-    }
-
-    // Build the merged capture/parameter union (fork 1 first, then fork 2's
-    // additions) and reject on any residual parameter-name collision.
-    std::vector<CaptureArg> caps = s1.captures;
-    std::vector<Param> params;
-    params.reserve(c1->params.size() + c2->params.size());
-    for (const auto& p : c1->params) params.push_back(p);
-    for (std::size_t j = 0; j < s2.captures.size(); ++j) {
-      if (first.contains(s2.captures[j].name)) continue;
-      caps.push_back(s2.captures[j]);
-      params.push_back(c2->params[j]);
-    }
-    std::unordered_set<std::string> param_names;
-    for (auto& p : params) {
-      if (!param_names.insert(p.name).second) return false;
-      p.symbol = nullptr;  // verify re-resolves
-    }
-
-    // All checks passed — mutate. Name the fused function uniquely.
-    std::string fused_name;
-    do {
-      fused_name = "__omp_fused_" + std::to_string(counter_++);
-    } while (module.find_function(fused_name) != nullptr);
-
-    auto fn = std::make_unique<FnDecl>();
-    fn->name = fused_name;
-    fn->is_outlined = true;
-    fn->loc = c1->loc;
-    fn->params = std::move(params);
-
-    // Region 1's trailing implicit barrier becomes the single explicit
-    // barrier between the bodies: if its final worksharing loop is only
-    // followed by reduction combines / lastprivate writebacks (both safe
-    // immediately after a nowait loop — the tree combine is its own
-    // rendezvous, and the writeback is published by the explicit barrier),
-    // mark it nowait so the pair costs one barrier, not two.
-    relax_tail_barrier(*c1->body);
-
-    auto body = Stmt::make(Stmt::Kind::kBlock, s1.loc);
-    body->stmts.push_back(std::move(c1->body));  // own scope per region
-    body->stmts.push_back(Stmt::make(Stmt::Kind::kOmpBarrier, s2.loc));
-    body->stmts.push_back(std::move(c2->body));
-    fn->body = std::move(body);
-
-    s1.callee = fused_name;
-    s1.callee_decl = nullptr;
-    s1.captures = std::move(caps);
-
-    erase_function(module, c1);
-    erase_function(module, c2);
-    module.functions.push_back(std::move(fn));
-
-    ss.erase(ss.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-    ++stats.regions_fused;
-    return true;
-  }
-
-  static void relax_tail_barrier(Stmt& body) {
-    if (body.kind != Stmt::Kind::kBlock) return;
-    std::ptrdiff_t last_ws = -1;
-    for (std::size_t j = 0; j < body.stmts.size(); ++j) {
-      if (body.stmts[j]->kind == Stmt::Kind::kOmpWsLoop) {
-        last_ws = static_cast<std::ptrdiff_t>(j);
-      }
-    }
-    if (last_ws < 0) return;
-    Stmt& ws = *body.stmts[static_cast<std::size_t>(last_ws)];
-    if (ws.nowait || ws.ordered) return;
-    for (std::size_t j = static_cast<std::size_t>(last_ws) + 1;
-         j < body.stmts.size(); ++j) {
-      const Stmt::Kind k = body.stmts[j]->kind;
-      if (k != Stmt::Kind::kOmpReductionCombine &&
-          k != Stmt::Kind::kOmpLastprivateWrite) {
-        return;
-      }
-    }
-    ws.nowait = true;
-  }
-
-  static void erase_function(Module& module, const FnDecl* fn) {
-    for (auto it = module.functions.begin(); it != module.functions.end();
-         ++it) {
-      if (it->get() == fn) {
-        module.functions.erase(it);
-        return;
-      }
-    }
-  }
-
-  int counter_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // dce-hoist — dead-clause elimination + loop-invariant capture hoisting
 // ---------------------------------------------------------------------------
 
@@ -938,8 +636,9 @@ class SemaPass : public Pass {
 };
 
 /// Re-runs sema on the optimized module. This is load-bearing, not just a
-/// check: fusion rebuilds functions and folding inserts fresh literal nodes,
-/// and re-analysis is what re-resolves every Symbol*/FnDecl*/type by name.
+/// check: folding inserts fresh literal nodes and dce-hoist rebuilds parameter
+/// lists, and re-analysis is what re-resolves every Symbol*/FnDecl*/type by
+/// name.
 /// First-analysis warnings would repeat verbatim, so they go to a scratch
 /// sink; an error here can only be a pass bug and is re-reported as such.
 class VerifyPass : public Pass {
@@ -984,10 +683,6 @@ std::unique_ptr<Pass> make_omp_lower_pass() {
 }
 std::unique_ptr<Pass> make_sema_pass() { return std::make_unique<SemaPass>(); }
 std::unique_ptr<Pass> make_fold_pass() { return std::make_unique<FoldPass>(); }
-std::unique_ptr<Pass> make_static_spec_pass() {
-  return std::make_unique<StaticSpecPass>();
-}
-std::unique_ptr<Pass> make_fuse_pass() { return std::make_unique<FusePass>(); }
 std::unique_ptr<Pass> make_dce_hoist_pass() {
   return std::make_unique<DceHoistPass>();
 }
@@ -1000,8 +695,6 @@ void build_default_pipeline(PassManager& pm, int opt_level, bool openmp) {
   pm.add(make_sema_pass());
   if (opt_level >= 1) {
     pm.add(make_fold_pass());
-    pm.add(make_static_spec_pass());
-    pm.add(make_fuse_pass());
     pm.add(make_dce_hoist_pass());
     pm.add(make_verify_pass());
   }

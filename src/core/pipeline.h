@@ -5,10 +5,10 @@
 //
 // The pipeline after parsing is a PassManager (passes.h): `omp-lower` (the
 // directive engine) and `sema` run as the first two passes; `opt_level >= 1`
-// appends the optimizer (fold, static-spec, fuse, dce-hoist) plus a `verify`
-// re-analysis. `dump_ir` captures the module's S-expression dump after any
-// named pass — the observability hook behind `mzc --dump-ir=<pass>` and the
-// per-pass golden tests.
+// appends the optimizer (fold, dce-hoist) plus a `verify` re-analysis.
+// `dump_ir` captures the module's S-expression dump after any named pass —
+// the observability hook behind `mzc --dump-ir=<pass>` and the per-pass
+// golden tests.
 #pragma once
 
 #include <memory>

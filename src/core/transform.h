@@ -35,13 +35,11 @@
 //   * Output is a plain module: outlined functions are ordinary FnDecls
 //     (marked is_outlined) whose parameter lists pair 1:1 with the fork /
 //     task sites' capture lists — the invariant fold's interprocedural
-//     propagation, fuse's parameter-union merge, and dce-hoist's
-//     capture+parameter removal all rely on.
+//     propagation and dce-hoist's capture+parameter removal both rely on.
 //   * Every loop is normalised to half-open [lo, hi) step 1 (collapse
-//     nests linearized first), which is what makes static-spec's literal
-//     bounds check and the backends' zomp_static_range lowering a plain
-//     pattern match.
-//   * The transform itself never folds, fuses, or marks anything — at -O0
+//     nests linearized first), so the backends pass step 1 to every
+//     worksharing-loop runtime call.
+//   * The transform itself never folds or marks anything — at -O0
 //     its output goes to the backends exactly as lowered, and every
 //     optimization above it must keep the module re-analyzable (the
 //     `verify` pass re-runs sema after the optimizers).

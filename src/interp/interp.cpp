@@ -540,7 +540,7 @@ class Exec {
         stmt.schedule.kind == ScheduleSpec::Kind::kRuntime;
 
     bool had_last = false;
-    // Cancellation escape shared by the three scheduling paths. `cancel for`
+    // Cancellation escape shared by the two scheduling paths. `cancel for`
     // surfaces as Flow::kCancelLoop: stop issuing chunks and drain to the
     // closing barrier. A `cancel parallel` observed mid-loop surfaces as
     // Flow::kReturn with the team's parallel bit set: leave the whole region.
@@ -554,21 +554,7 @@ class Exec {
       }
       return false;
     };
-    if (!needs_dispatch && stmt.static_spec && chunk == 0) {
-      // Static-schedule specialization (optimizer static-spec pass): one
-      // contiguous block per thread, no stride stepping — the interpreter
-      // mirror of codegen's zomp_static_range lowering.
-      const rt::StaticRange r =
-          rt::static_block_range(lo, hi, ts.tid, team.size());
-      if (!dims.empty() && r.lo < r.hi) seed_dims(r.lo);
-      for (std::int64_t i = r.lo; i < r.hi; ++i) {
-        bind(loop.symbol, Value(i));
-        bind_dims();
-        if (body_escapes(exec_stmt(*loop.body))) break;
-        advance_dims();
-      }
-      had_last = r.last;
-    } else if (!needs_dispatch) {
+    if (!needs_dispatch) {
       const rt::StaticRange r =
           rt::static_distribute(lo, hi, 1, chunk, ts.tid, team.size());
       const std::int64_t span = r.hi - r.lo;

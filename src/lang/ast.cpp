@@ -289,7 +289,6 @@ std::string dump_stmt(const Stmt& stmt, int indent) {
       }
       if (stmt.nowait) out << " nowait";
       if (stmt.ordered) out << " ordered";
-      if (stmt.static_spec) out << " static-spec";
       for (const auto& lp : stmt.lastprivate) {
         out << " lastprivate=" << lp.first << "->" << lp.second;
       }

@@ -377,8 +377,8 @@ class Sema {
                                      stmt.target + "'");
         } else if (target->is_const && stmt.section_len == 0) {
           // (A section's combine stores elements, which a const slice allows.)
-          diags_.error(stmt.loc, "combine/writeback target '" + stmt.target +
-                                     "' is const");
+          diags_.error(stmt.loc,
+                       "cannot assign to const '" + stmt.target + "'");
         } else if (local != nullptr && !local->type.is_invalid() &&
                    target->type != local->type) {
           diags_.error(stmt.loc, "type mismatch between '" + stmt.name +
@@ -685,7 +685,7 @@ class Sema {
       if (t == nullptr) {
         diags_.error(stmt.loc, "lastprivate target '" + target + "' not found");
       } else if (t->is_const) {
-        diags_.error(stmt.loc, "lastprivate target '" + target + "' is const");
+        diags_.error(stmt.loc, "cannot assign to const '" + target + "'");
       }
       stmt.lastprivate_syms.emplace_back(l, t);
     }

@@ -108,7 +108,7 @@ void zomp_static_range(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                        std::int64_t* phi, std::int32_t* plast) {
   ThreadState& ts = current_thread();
   const zomp::rt::StaticRange r =
-      zomp::rt::static_block_range(lo, hi, ts.tid, ts.team->size());
+      zomp::rt::static_distribute(lo, hi, 1, 0, ts.tid, ts.team->size());
   *plo = r.lo;
   *phi = r.hi;
   *plast = r.last ? 1 : 0;

@@ -53,31 +53,6 @@ StaticRange static_distribute(i64 lo, i64 hi, i64 step, i64 chunk, i32 tid,
   return r;
 }
 
-StaticRange static_block_range(i64 lo, i64 hi, i32 tid, i32 nthreads) {
-  ZOMP_CHECK(nthreads >= 1 && tid >= 0 && tid < nthreads,
-             "bad thread id for static distribution");
-  StaticRange r;
-  const i64 trips = hi > lo ? hi - lo : 0;
-  r.stride = (hi - lo) + 1;  // one block: stride past the end (parity with
-                             // the general path; the spec codegen ignores it)
-  if (trips == 0) {
-    r.lo = r.hi = hi;
-    return r;
-  }
-  const i64 base = trips / nthreads;
-  const i64 rem = trips % nthreads;
-  const i64 begin = i64{tid} * base + std::min<i64>(tid, rem);
-  const i64 count = base + (tid < rem ? 1 : 0);
-  if (count == 0) {
-    r.lo = r.hi = hi;
-    return r;
-  }
-  r.lo = lo + begin;
-  r.hi = lo + begin + count;
-  r.last = begin + count == trips;
-  return r;
-}
-
 void dispatch_init_static_cursor(const DispatchSlot& slot, MemberDispatch& md,
                                  i32 tid) {
   const StaticRange r = static_distribute(slot.lo, slot.hi, slot.step,

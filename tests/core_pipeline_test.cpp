@@ -3,6 +3,7 @@
 // combinations a user can write).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/pipeline.h"
@@ -92,33 +93,47 @@ fn f(n: i64) void {
 
 // A region writes a const variable through its capture: the body assigns
 // the shared `a`, the winner's combine folds into it, or the last
-// iteration writes it back. Each is rejected as the same assignment in a
-// serial loop is, naming the variable as written.
-class ConstCaptureWriteTest : public ::testing::TestWithParam<const char*> {};
+// iteration writes it back. Each is rejected with the text the same
+// assignment in a serial loop gets, naming the variable as written. The
+// loop is a combined `parallel for` or a standalone `for` in a region.
+struct ConstWriteCase {
+  const char* construct;  // "parallel for", or "for" inside `parallel`
+  const char* clauses;
+};
+
+void PrintTo(const ConstWriteCase& c, std::ostream* os) {
+  *os << c.construct << ' ' << c.clauses;
+}
+
+class ConstCaptureWriteTest
+    : public ::testing::TestWithParam<ConstWriteCase> {};
 
 TEST_P(ConstCaptureWriteTest, Rejected) {
-  const std::string source = std::string(R"(
-fn f(n: i64) i64 {
-  const a: i64 = 5;
-  //#omp parallel for )") + GetParam() + R"(
-  for (0..n) |i| {
-    a = i;
+  const ConstWriteCase& c = GetParam();
+  std::string loop = std::string("  //#omp ") + c.construct + " " +
+                     c.clauses + "\n  for (0..n) |i| {\n    a = i;\n  }\n";
+  if (std::string(c.construct) == "for") {
+    loop = "  //#omp parallel\n  {\n" + loop + "  }\n";
   }
-  return a;
-}
-)";
+  const std::string source =
+      "fn f(n: i64) i64 {\n  const a: i64 = 5;\n" + loop + "  return a;\n}\n";
   auto result = compile_source(source);
-  EXPECT_FALSE(result.ok) << GetParam();
+  EXPECT_FALSE(result.ok) << source;
   const std::string text = result.diagnostics_text();
-  EXPECT_NE(text.find("'a'"), std::string::npos) << text;
-  EXPECT_NE(text.find("const"), std::string::npos) << text;
+  EXPECT_NE(text.find("cannot assign to const 'a'"), std::string::npos)
+      << text;
   EXPECT_EQ(text.find("a__"), std::string::npos) << text;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Clauses, ConstCaptureWriteTest,
-    ::testing::Values("", "reduction(+: a)", "lastprivate(a)",
-                      "firstprivate(a) lastprivate(a)"));
+    ::testing::Values(ConstWriteCase{"parallel for", ""},
+                      ConstWriteCase{"parallel for", "reduction(+: a)"},
+                      ConstWriteCase{"parallel for", "lastprivate(a)"},
+                      ConstWriteCase{"parallel for",
+                                     "firstprivate(a) lastprivate(a)"},
+                      ConstWriteCase{"for", "reduction(+: a)"},
+                      ConstWriteCase{"for", "lastprivate(a)"}));
 
 TEST(PipelineTest, CapturedSliceRebindWarningFreeButWorks) {
   // Rebinding a value-captured slice header inside a region must type-check

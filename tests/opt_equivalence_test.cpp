@@ -1,5 +1,5 @@
-// -O0 vs -O1 equivalence: the optimizer pipeline (fold, static-spec, fuse,
-// dce-hoist — core/passes.h) must be invisible to results. Every kernel in
+// -O0 vs -O1 equivalence: the optimizer pipeline (fold, dce-hoist —
+// core/passes.h) must be invisible to results. Every kernel in
 // src/npb/kernels is run four ways — interpreted at opt_level 0 and 1, and
 // natively through the build-time -O0 (<kernel>_mz_o0) and default -O1
 // (<kernel>_mz) transpiles — across {1, 2, 4, 8} threads, and all four must

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/abi.h"
@@ -125,6 +126,56 @@ TEST(AbiWorksharingTest, StaticInitCoversOnce) {
   zomp_push_num_threads(&kLoc, 3);
   zomp_fork_call(&kLoc, &static_loop_microtask, 1, args);
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(AbiWorksharingTest, StaticRangeMatchesChunklessStaticInit) {
+  // zomp_static_range stays exported for bench/suite's zbench_traced:
+  // each member's block and `last` must be zomp_for_static_init's with
+  // chunk 0 and step 1. Ranges: empty, reversed, fewer trips than members,
+  // uneven and even splits.
+  struct Block {
+    std::int64_t lo = -1, hi = -1;
+    std::int32_t last = -1;
+    bool operator==(const Block&) const = default;
+  };
+  struct State {
+    std::int64_t lo, hi;
+    Block init[4], range[4];
+  };
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0}, {5, 5}, {7, 3}, {0, 1}, {10, 12}, {-4, -1}, {0, 10}, {3, 104},
+      {0, 12}};
+  for (std::int32_t t = 1; t <= 4; ++t) {
+    for (const auto& [lo, hi] : ranges) {
+      State state{lo, hi, {}, {}};
+      void* args[1] = {&state};
+      zomp_push_num_threads(&kLoc, t);
+      zomp_fork_call(
+          &kLoc,
+          [](std::int32_t gtid, std::int32_t tid, void** a) {
+            auto* s = static_cast<State*>(a[0]);
+            Block& init = s->init[tid];
+            std::int64_t stride = 0;
+            zomp_for_static_init(&kLoc, gtid, 0, s->lo, s->hi, 1, &init.lo,
+                                 &init.hi, &stride, &init.last);
+            zomp_for_static_fini(&kLoc, gtid);
+            Block& range = s->range[tid];
+            zomp_static_range(&kLoc, gtid, s->lo, s->hi, &range.lo, &range.hi,
+                              &range.last);
+          },
+          1, args);
+      for (std::int32_t tid = 0; tid < 4; ++tid) {
+        const bool member = tid < t;
+        EXPECT_EQ(state.init[tid].last != -1, member);
+        EXPECT_TRUE(state.range[tid] == state.init[tid])
+            << "T=" << t << " [" << lo << ", " << hi << ") tid " << tid
+            << ": range [" << state.range[tid].lo << ", "
+            << state.range[tid].hi << ") last " << state.range[tid].last
+            << ", static_init [" << state.init[tid].lo << ", "
+            << state.init[tid].hi << ") last " << state.init[tid].last;
+      }
+    }
+  }
 }
 
 struct SingleState {

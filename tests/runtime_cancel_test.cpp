@@ -349,6 +349,27 @@ TEST_P(CancelE2eTest, CancelParallelIsDeterministicInBothBackends) {
       want);
 }
 
+TEST_P(CancelE2eTest, CancelParallelLeavesNextRegionIntactAtO1) {
+  // A cancel in the first of two adjacent regions must not reach the second:
+  // both members count themselves in each region, cancelled or not. The
+  // native build is the default -O1 transpile; the interpreter runs -O1 too.
+  std::vector<std::int64_t> out(2, 0);
+  mzgen_cancel_mz::cancel_then_region_run(
+      mz::Slice<std::int64_t>{out.data(), 2});
+  EXPECT_EQ(out, (std::vector<std::int64_t>{2, 2}));
+
+  core::CompileOptions options;
+  options.module_name = "cancel_interp";
+  options.opt_level = 1;
+  auto result = core::compile_source(read_kernel("cancel.mz"), options);
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  interp::Interp vm(*result.module);
+  interp::SliceVal iout = make_slice_i64(2);
+  vm.call_by_name("cancel_then_region_run", {interp::Value(iout)});
+  EXPECT_EQ((*iout.data)[0].as_i64(), 2);
+  EXPECT_EQ((*iout.data)[1].as_i64(), 2);
+}
+
 TEST_P(CancelE2eTest, CancelTaskgroupDiscardsInBothBackends) {
   const bool enabled = GetParam();
   constexpr std::int64_t n = 64;
