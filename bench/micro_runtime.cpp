@@ -6,7 +6,6 @@
 // suite's EPCC probe (bench/suite).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -438,137 +437,6 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
 ZOMP_BENCHMARK(BM_TaskSpawnStealThroughput)
     ->Arg(1)
     ->Arg(7)
-    ->Unit(benchmark::kMicrosecond)
-    ->Iterations(20);
-
-/// Locality-aware steal-victim selection (DESIGN.md S1.9) on a synthetic
-/// 2-socket machine: 8 pool members split into two groups of four, tasks
-/// pre-loaded on one producer per group, six thieves draining through
-/// take(). range(0): 0 = flat staggered ring (empty victim table), 1 =
-/// hierarchical order (same-group victims first, per-member rotation) — the
-/// exact table team.cpp builds for a spread binding over two sockets.
-/// BENCH_locality.json: hierarchical must be >= flat.
-void BM_HierarchicalSteal(benchmark::State& state) {
-  const bool hierarchical = state.range(0) == 1;
-  constexpr int kMembers = 8;
-  constexpr int kGroup = kMembers / 2;  // members / "socket"
-  constexpr int kTasks = 1024;          // per producer (deque capacity)
-  std::vector<zomp::rt::i32> hier;
-  for (int t = 0; t < kMembers; ++t) {
-    std::vector<zomp::rt::i32> near, far;
-    for (int v = 0; v < kMembers; ++v) {
-      if (v == t) continue;
-      (v / kGroup == t / kGroup ? near : far).push_back(v);
-    }
-    for (auto* tier : {&near, &far}) {
-      std::rotate(tier->begin(),
-                  tier->begin() + t % static_cast<int>(tier->size()),
-                  tier->end());
-      hier.insert(hier.end(), tier->begin(), tier->end());
-    }
-  }
-  zomp::rt::TaskContext parent;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto pool = std::make_unique<zomp::rt::TaskPool>(kMembers);
-    pool->set_victim_order(hierarchical ? hier
-                                        : std::vector<zomp::rt::i32>{});
-    for (const int producer : {0, kGroup}) {
-      for (int i = 0; i < kTasks; ++i) {
-        if (auto rejected = pool->push(producer, make_dummy_task(&parent))) {
-          state.SkipWithError("unexpected deque overflow");
-        }
-      }
-    }
-    std::atomic<int> drained{0};
-    state.ResumeTiming();
-    std::vector<std::thread> thieves;
-    for (int t = 0; t < kMembers; ++t) {
-      if (t == 0 || t == kGroup) continue;  // producers do not help
-      thieves.emplace_back([&, t] {
-        zomp::rt::Counters counters;
-        for (;;) {
-          if (auto task = pool->take(t, counters)) {
-            pool->mark_finished();
-            drained.fetch_add(1, std::memory_order_relaxed);
-          } else if (pool->outstanding() == 0) {
-            return;
-          }
-        }
-      });
-    }
-    for (auto& th : thieves) th.join();
-    if (drained.load() != 2 * kTasks) state.SkipWithError("lost tasks");
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * kTasks);
-  state.SetLabel(hierarchical ? "hierarchical-order" : "flat-ring");
-}
-ZOMP_BENCHMARK(BM_HierarchicalSteal)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond)
-    ->Iterations(20);
-
-/// Per-place dispatch cursor sharding (DESIGN.md S1.9): claimers split into
-/// two "sockets" over a chunk-1 space. 0 = one shared cursor (every claim
-/// RMWs the same cache line from both groups), 1 = per-place slabs (claims
-/// stay group-local until a slab runs dry and is stolen wholesale).
-/// range(1): claiming threads. BENCH_locality.json: sharded must be >= flat.
-void BM_DynamicPerPlaceCursor(benchmark::State& state) {
-  const bool sharded = state.range(0) == 1;
-  const int threads = static_cast<int>(state.range(1));
-  constexpr std::int64_t kTrips = 1 << 16;
-  zomp::rt::ShardMap map;
-  map.nshards = 2;
-  map.member_shard.resize(static_cast<std::size_t>(threads));
-  map.weight = {0, 0};
-  map.shard_members = {{}, {}};
-  for (int t = 0; t < threads; ++t) {
-    const int s = t < threads / 2 ? 0 : 1;
-    map.member_shard[static_cast<std::size_t>(t)] = s;
-    ++map.weight[static_cast<std::size_t>(s)];
-    map.shard_members[static_cast<std::size_t>(s)].push_back(t);
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto slot = std::make_unique<zomp::rt::DispatchSlot>();
-    slot->kind = zomp::rt::ScheduleKind::kDynamic;
-    slot->lo = 0;
-    slot->hi = kTrips;
-    slot->step = 1;
-    slot->chunk = 1;
-    slot->trips = kTrips;
-    slot->nthreads = threads;
-    zomp::rt::dispatch_init_shards(*slot, map, sharded);
-    std::atomic<std::int64_t> claimed_total{0};
-    state.ResumeTiming();
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        zomp::rt::MemberDispatch md;
-        md.shard = map.member_shard[static_cast<std::size_t>(t)];
-        zomp::rt::Counters counters;
-        std::int64_t mine = 0, lo = 0, hi = 0;
-        bool last = false;
-        while (zomp::rt::dispatch_next_chunk(*slot, md, counters, &lo, &hi,
-                                             &last)) {
-          mine += hi - lo;
-        }
-        claimed_total.fetch_add(mine, std::memory_order_relaxed);
-      });
-    }
-    for (auto& th : workers) th.join();
-    if (claimed_total.load() != kTrips) state.SkipWithError("missed iterations");
-  }
-  state.SetItemsProcessed(state.iterations() * kTrips);
-  state.SetLabel(sharded ? "sharded-cursors" : "shared-cursor");
-}
-ZOMP_BENCHMARK(BM_DynamicPerPlaceCursor)
-    ->Args({0, 2})
-    ->Args({1, 2})
-    ->Args({0, 8})
-    ->Args({1, 8})
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(20);
 

@@ -35,7 +35,9 @@ struct CompileOptions {
   /// (mzc's default — see tools/mzc.cpp).
   int opt_level = 0;
   /// Pass names whose post-pass IR to capture in CompileResult::ir_dumps
-  /// ("all" captures every pass). See PassManager::pass_names().
+  /// ("all" captures every pass). A name the configured pipeline does not
+  /// run is an error, reported before any pass runs. See
+  /// PassManager::pass_names().
   std::vector<std::string> dump_ir;
 };
 

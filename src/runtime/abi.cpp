@@ -414,7 +414,6 @@ void zomp_team_stats(zomp_team_stats_t* out) {
   const zomp::TeamStats s = zomp::team_stats();
   out->steal_attempts = s.steal_attempts;
   out->steal_lost = s.steal_lost;
-  out->mailbox_pulls = s.mailbox_pulls;
   out->tasks_executed = s.tasks_executed;
   out->dispatch_claims = s.dispatch_claims;
   out->barrier_episodes = s.barrier_episodes;
@@ -425,10 +424,9 @@ std::int64_t mz_omp_team_stat(std::int64_t which) {
   switch (which) {
     case 0: return s.steal_attempts;
     case 1: return s.steal_lost;
-    case 2: return s.mailbox_pulls;
-    case 3: return s.tasks_executed;
-    case 4: return s.dispatch_claims;
-    case 5: return s.barrier_episodes;
+    case 2: return s.tasks_executed;
+    case 3: return s.dispatch_claims;
+    case 4: return s.barrier_episodes;
     default: return 0;
   }
 }

@@ -429,7 +429,6 @@ zomp_tool_callback_t zomp_get_callback(std::int32_t event);
 struct zomp_team_stats_t {
   std::int64_t steal_attempts;
   std::int64_t steal_lost;
-  std::int64_t mailbox_pulls;
   std::int64_t tasks_executed;
   std::int64_t dispatch_claims;
   std::int64_t barrier_episodes;
@@ -437,7 +436,7 @@ struct zomp_team_stats_t {
 void zomp_team_stats(zomp_team_stats_t* out);
 
 /// zomp_team_stats flattened to MiniZig's scalar-only FFI: `which` selects
-/// the field in declaration order (0 steal_attempts .. 5 barrier_episodes);
+/// the field in declaration order (0 steal_attempts .. 4 barrier_episodes);
 /// out-of-range answers 0.
 std::int64_t mz_omp_team_stat(std::int64_t which);
 

@@ -203,7 +203,6 @@ TeamStats team_stats() {
   TeamStats out;
   out.steal_attempts = sum(rt::Metric::kStealAttempts);
   out.steal_lost = sum(rt::Metric::kStealLost);
-  out.mailbox_pulls = sum(rt::Metric::kMailboxPulls);
   out.tasks_executed = sum(rt::Metric::kTasksExecuted);
   out.dispatch_claims = sum(rt::Metric::kDispatchClaims);
   out.barrier_episodes = sum(rt::Metric::kBarrierEpisodes);

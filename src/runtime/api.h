@@ -133,7 +133,6 @@ double wtick();
 struct TeamStats {
   rt::i64 steal_attempts = 0;
   rt::i64 steal_lost = 0;
-  rt::i64 mailbox_pulls = 0;
   rt::i64 tasks_executed = 0;
   rt::i64 dispatch_claims = 0;
   rt::i64 barrier_episodes = 0;

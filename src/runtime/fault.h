@@ -9,7 +9,7 @@
 //   -----------+-----------------------------+---------------------------------
 //   kSpawn     | worker thread creation      | short-acquire: the team shrinks,
 //              |                             | every sizing (barrier, reduction
-//              |                             | tree, dispatch shards) follows
+//              |                             | tree, loop split) follows
 //   kAlloc     | task / DepNode allocation   | undeferred inline execution
 //   kAffinity  | sched_setaffinity           | logical binding only (place_num
 //              |                             | stays, OS mask unchanged)

@@ -231,12 +231,4 @@ Icv GlobalIcv::initial() const {
   return icv;
 }
 
-void GlobalIcv::set_default_team_size(i32 n) {
-  if (n > 0) default_team_size_ = n;
-}
-
-void GlobalIcv::set_max_active_levels(i32 levels) {
-  if (levels >= 1) max_levels_default_ = levels;
-}
-
 }  // namespace zomp::rt

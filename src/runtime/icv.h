@@ -61,16 +61,6 @@ class GlobalIcv {
   /// Default team size when nothing requests otherwise.
   i32 default_team_size() const { return default_team_size_; }
 
-  // Setters back the omp_set_* style API; they affect regions forked after
-  // the call, matching the spec's "most recent enclosing" wording.
-  void set_default_team_size(i32 n);
-  void set_dynamic(bool dyn) { dynamic_default_ = dyn; }
-  bool dynamic_default() const { return dynamic_default_; }
-  void set_max_active_levels(i32 levels);
-  i32 max_active_levels_default() const { return max_levels_default_; }
-  Schedule run_sched_default() const { return run_sched_default_; }
-  void set_run_sched_default(Schedule s) { run_sched_default_ = s; }
-
   /// wait-policy-var (OMP_WAIT_POLICY): process-wide, read by every Backoff
   /// at construction. Atomic so a test / tuning call can flip it safely from
   /// any thread; waits already in progress keep their snapshotted spin
@@ -87,7 +77,6 @@ class GlobalIcv {
   /// or `false`) answers kFalse, which keeps binding entirely off unless a
   /// proc_bind clause asks for it.
   BindKind bind_at(i32 index) const;
-  bool has_proc_bind() const { return !proc_bind_list_.empty(); }
   /// Replaces the list (tests; mirrors set_wait_policy's region-boundary
   /// visibility — only forks after the call observe it).
   void set_proc_bind_list(std::vector<BindKind> list);
@@ -95,7 +84,6 @@ class GlobalIcv {
   /// OMP_DISPLAY_AFFINITY: one binding report line per thread whenever its
   /// placement changes (api.h display_affinity prints on demand).
   bool display_affinity() const { return display_affinity_; }
-  void set_display_affinity(bool on) { display_affinity_ = on; }
 
   /// cancel-var (OMP_CANCELLATION, omp_get_cancellation): process-wide and,
   /// per spec, immutable after startup — there is no omp_set_cancellation.

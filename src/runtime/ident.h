@@ -15,11 +15,4 @@ struct SourceIdent {
   i32 line = 0;
 };
 
-/// Default ident used by the C++ convenience API, where call sites are
-/// ordinary C++ and the construct name carries the useful information.
-inline const SourceIdent& unknown_ident() {
-  static const SourceIdent ident{};
-  return ident;
-}
-
 }  // namespace zomp::rt

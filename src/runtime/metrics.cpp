@@ -32,15 +32,6 @@ Registry& registry() {
   return *r;
 }
 
-template <typename Read>
-u64 sum_blocks(Read read) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  u64 total = 0;
-  for (const Counters& c : r.blocks) total += read(c);
-  return total;
-}
-
 std::atomic<bool> g_atexit_registered{false};
 
 const char* metric_name(Metric m) {
@@ -53,7 +44,6 @@ const char* metric_name(Metric m) {
     case Metric::kDispatchClaims: return "dispatch_claims";
     case Metric::kTasksExecuted: return "tasks_executed";
     case Metric::kTasksStolen: return "tasks_stolen";
-    case Metric::kMailboxPulls: return "tasks_mailbox_pulled";
     case Metric::kStealAttempts: return "steal_attempts";
     case Metric::kStealLost: return "steal_lost";
     case Metric::kCancellations: return "cancellations_observed";
@@ -69,18 +59,8 @@ void atexit_report() {
 }  // namespace
 
 u64 Counters::value(Metric m) const noexcept {
-  if (m == Metric::kDispatchClaims) {
-    u64 total = 0;
-    for (i32 s = 0; s < kMetricsMaxShards; ++s) total += shard_claims(s);
-    return total;
-  }
   if (m < Metric::kParallelRegions || m >= Metric::kCount) return 0;
   return counts_[static_cast<i32>(m)].load(std::memory_order_relaxed);
-}
-
-u64 Counters::shard_claims(i32 shard) const noexcept {
-  if (shard < 0 || shard >= kMetricsMaxShards) return 0;
-  return shard_claims_[shard].load(std::memory_order_relaxed);
 }
 
 Counters* counters_register() {
@@ -99,12 +79,11 @@ void metrics_init_from_env() {
 }
 
 u64 metrics_value(Metric m) noexcept {
-  return sum_blocks([m](const Counters& c) { return c.value(m); });
-}
-
-u64 metrics_shard_claims(i32 shard) noexcept {
-  return sum_blocks(
-      [shard](const Counters& c) { return c.shard_claims(shard); });
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  u64 total = 0;
+  for (const Counters& c : r.blocks) total += c.value(m);
+  return total;
 }
 
 std::string metrics_report() {
@@ -114,13 +93,6 @@ std::string metrics_report() {
     const Metric m = static_cast<Metric>(i);
     std::snprintf(buf, sizeof(buf), "  %s = '%" PRIu64 "'\n", metric_name(m),
                   metrics_value(m));
-    out += buf;
-  }
-  for (i32 s = 0; s < kMetricsMaxShards; ++s) {
-    const u64 v = metrics_shard_claims(s);
-    if (v == 0) continue;
-    std::snprintf(buf, sizeof(buf),
-                  "  dispatch_claims_shard[%d] = '%" PRIu64 "'\n", s, v);
     out += buf;
   }
   static const char* kSiteNames[kNumFaultSites] = {"spawn", "alloc",

@@ -31,46 +31,27 @@ enum class Metric : i32 {
   kDispatchClaims = 5,    ///< dynamic/guided/static chunk claims served
   kTasksExecuted = 6,     ///< explicit task bodies run (incl. inline)
   kTasksStolen = 7,       ///< tasks obtained via a successful deque steal
-  kMailboxPulls = 8,      ///< tasks obtained from an affinity mailbox
-  kStealAttempts = 9,     ///< CAS-bearing steal() calls on victim deques
-  kStealLost = 10,        ///< steals that lost the CAS race
-  kCancellations = 11,    ///< cancel activations observed
-  kCount = 12,
+  kStealAttempts = 8,     ///< CAS-bearing steal() calls on victim deques
+  kStealLost = 9,         ///< steals that lost the CAS race
+  kCancellations = 10,    ///< cancel activations observed
+  kCount = 11,
 };
 
-/// Upper bound on distinguished shard lanes in the per-shard claim
-/// breakdown; claims from higher shard indexes fold into the last lane.
-inline constexpr i32 kMetricsMaxShards = 16;
-
-/// One thread's counts. add/note_shard_claim are owner-only; value and
-/// shard_claims may be read from any thread.
+/// One thread's counts. add is owner-only; value may be read from any
+/// thread.
 class alignas(kCacheLine) Counters {
  public:
-  /// Any metric but kDispatchClaims, which note_shard_claim counts.
+  /// Owner-only: a relaxed load + store, no RMW.
   void add(Metric m, u64 delta = 1) noexcept {
-    bump(counts_[static_cast<i32>(m)], delta);
-  }
-
-  /// A dispatch chunk claim served from shard `shard` (the worksharing.cpp
-  /// serve paths). kDispatchClaims is the sum of these lanes, so a claim
-  /// is counted once.
-  void note_shard_claim(i32 shard) noexcept {
-    if (shard < 0) shard = 0;
-    if (shard >= kMetricsMaxShards) shard = kMetricsMaxShards - 1;
-    bump(shard_claims_[shard], 1);
-  }
-
-  u64 value(Metric m) const noexcept;
-  u64 shard_claims(i32 shard) const noexcept;
-
- private:
-  static void bump(std::atomic<u64>& c, u64 delta) noexcept {
+    std::atomic<u64>& c = counts_[static_cast<i32>(m)];
     c.store(c.load(std::memory_order_relaxed) + delta,
             std::memory_order_relaxed);
   }
 
+  u64 value(Metric m) const noexcept;
+
+ private:
   std::atomic<u64> counts_[static_cast<i32>(Metric::kCount)]{};
-  std::atomic<u64> shard_claims_[kMetricsMaxShards]{};
 };
 
 /// A fresh zeroed block from the process registry. ThreadState's
@@ -93,13 +74,12 @@ inline bool metrics_enabled() noexcept {
 /// report writer once enabled. Called by GlobalIcv's constructor.
 void metrics_init_from_env();
 
-/// A counter / per-shard claim lane summed over every registered block.
+/// A counter summed over every registered block.
 u64 metrics_value(Metric m) noexcept;
-u64 metrics_shard_claims(i32 shard) noexcept;
 
 /// The fenced report: "ZOMP METRICS REPORT BEGIN/END" around one
-/// `name = 'value'` line per counter, the nonzero shard lanes, and the
-/// fault-injection site counts (pulled from fault.cpp at render time).
+/// `name = 'value'` line per counter and the fault-injection site counts
+/// (pulled from fault.cpp at render time).
 std::string metrics_report();
 
 /// Test hook: force the ZOMP_METRICS flag.

@@ -290,11 +290,6 @@ void restore(ThreadState& ts, const SavedBinding& s) {
   ts.place_num = s.place_num;
 }
 
-void closure_trampoline(i32 /*gtid*/, i32 /*tid*/, void** args) {
-  const auto* body = static_cast<const std::function<void()>*>(args[0]);
-  (*body)();
-}
-
 /// Runs one region on an already-armed team: bind and ring every bound
 /// worker, run the master's share, join, and wait for the last member's
 /// check-out. Brackets the region with the oversubscription census
@@ -523,11 +518,6 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
   team.reset();
   Pool::instance().release(workers);
   restore(ts, saved);
-}
-
-void fork_closure(const std::function<void()>& body, const ForkOptions& opts) {
-  void* args[1] = {const_cast<void*>(static_cast<const void*>(&body))};
-  fork_call(closure_trampoline, args, opts);
 }
 
 }  // namespace zomp::rt

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -59,11 +58,6 @@ struct ForkOptions {
 /// passed the join barrier (all explicit tasks included). Reentrant: calling
 /// from inside a region forks a nested team subject to max-active-levels.
 void fork_call(Microtask fn, void** args, const ForkOptions& opts = {});
-
-/// Convenience overload for C++ callers: the closure is invoked once per
-/// team member.
-void fork_closure(const std::function<void()>& body,
-                  const ForkOptions& opts = {});
 
 /// Zero-erasure fork for C++ callers on the hot path: the callable rides in
 /// the microtask argument array directly (no std::function construction, so

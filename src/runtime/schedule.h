@@ -36,15 +36,6 @@ struct Schedule {
 inline constexpr i64 kMaxBatchChunks = 16;
 inline constexpr i64 kBatchDivisor = 4;
 
-/// Locality sharding of the dispatch cursor (DESIGN.md S1.9): a team whose
-/// binding spans several places splits a dynamic/guided iteration space into
-/// one slab per place, each with its own cursor, so chunk claims stop
-/// bouncing a single cache line across sockets; a member whose slab runs dry
-/// steals half a remote slab's remainder with ONE fetch_add (a slab, not a
-/// chunk). Capped so DispatchSlot stays fixed-size; teams spanning more
-/// places merge the extra places into the last shard.
-inline constexpr i32 kMaxPlaceShards = 8;
-
 /// Parses the OMP_SCHEDULE syntax: `kind[,chunk]`, e.g. "dynamic,4".
 /// Returns nullopt on malformed input (callers fall back to the default and
 /// emit a warning, matching libomp's tolerance of bad environments).

@@ -30,7 +30,6 @@
 
 #include <array>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -484,7 +483,7 @@ class WorkStealingDeque {
   /// Any thread. FIFO: oldest task, maximising the stolen subtree. Null when
   /// empty or when the CAS race is lost (caller just tries the next victim).
   /// `lost`, when non-null, is set to true on a lost CAS — the convoying
-  /// telemetry the staggered victim scan is measured by (DESIGN.md S1.9).
+  /// telemetry the staggered victim scan is measured by (S12 counters).
   Task* steal(bool* lost = nullptr) {
     i64 t = top_.load(std::memory_order_seq_cst);
     const i64 b = bottom_.load(std::memory_order_seq_cst);
@@ -520,19 +519,15 @@ class WorkStealingDeque {
   std::array<std::atomic<Task*>, kCapacity> slots_{};
 };
 
-/// Per-team task queues: one work-stealing deque per member, plus one
-/// mutex-guarded *mailbox* per member for tasks another member aims at it
-/// (the Chase–Lev deque is owner-push-only, so cross-member placement —
-/// place-aware taskloop spraying — needs a side channel). Victim selection
-/// in take() is locality-aware when the team installed a victim-order table
-/// (hierarchical: same place, then same core/socket, then anywhere), and a
-/// staggered flat ring otherwise.
+/// Per-team task queues: one work-stealing deque per member. A member pushes
+/// only onto its own deque; take() pops its own deque, then steals from the
+/// others around a ring whose start is staggered per member.
 class TaskPool {
  public:
   explicit TaskPool(i32 members);
 
-  /// Drains and frees any tasks still parked in the deques or mailboxes
-  /// (both hold raw pointers, so teardown must reclaim them explicitly).
+  /// Drains and frees any tasks still parked in the deques (their slots hold
+  /// raw pointers, so teardown must reclaim them explicitly).
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
@@ -548,29 +543,12 @@ class TaskPool {
   [[nodiscard]] std::unique_ptr<Task> push(i32 tid, std::unique_ptr<Task> task,
                                            bool* was_empty = nullptr);
 
-  /// Enqueues `task` on member `target`'s mailbox — the cross-member
-  /// placement path. Unbounded, so unlike push() it never rejects. The task
-  /// is stealable like any queued task: take() scans victims' mailboxes as
-  /// well as their deques, so a task mailed to a member that never becomes
-  /// idle cannot strand a taskgroup/taskwait/barrier waiter. Returns whether
-  /// this push took queued() from 0 to 1 (see push()).
-  bool push_remote(i32 target, std::unique_ptr<Task> task);
-
-  /// Pops from `tid`'s own deque (LIFO), then its own mailbox, then steals
-  /// from siblings — nearest-first per the installed victim order, or a
-  /// per-member staggered ring when there is none. Returns nullptr if no
-  /// task is available right now; see maybe_empty() for why callers must
-  /// re-check queued() before treating that as "pool dry". Steal and
-  /// mailbox traffic is counted on `counters`, the calling thread's block.
+  /// Pops from `tid`'s own deque (LIFO), then steals from siblings around a
+  /// per-member staggered ring. Returns nullptr if no task is available
+  /// right now; see maybe_empty() for why callers must re-check queued()
+  /// before treating that as "pool dry". Steal traffic is counted on
+  /// `counters`, the calling thread's block.
   std::unique_ptr<Task> take(i32 tid, Counters& counters);
-
-  /// Installs the hierarchical steal-victim order: row `tid` holds member
-  /// tid's n-1 victims, nearest first (flattened n x (n-1)). Built by the
-  /// team from its binding plan and scheduling_topology() at fork time
-  /// (master-only, while the team is quiescent); empty reverts take() to
-  /// the staggered flat ring.
-  void set_victim_order(std::vector<i32> order);
-  const std::vector<i32>& victim_order() const { return victim_order_; }
 
   /// Tasks queued but not yet finished executing (includes tasks currently
   /// running a body). Gates the barrier's drain: zero means every published
@@ -592,24 +570,9 @@ class TaskPool {
   void mark_finished() { outstanding_.fetch_sub(1, std::memory_order_acq_rel); }
 
  private:
-  /// One member's mailbox. The atomic count lets the victim scan skip empty
-  /// mailboxes without taking the lock; like maybe_empty() it is advisory
-  /// (queued() is the authoritative re-check).
-  struct Mailbox {
-    std::mutex mu;
-    std::deque<Task*> tasks;
-    std::atomic<i32> count{0};
-  };
-
-  /// Pops the oldest mailed task from `member`'s mailbox; null when empty.
-  Task* mailbox_pop(i32 member);
-
-  // Each deque/mailbox heap-allocated so neighbouring members' hot words
-  // never share a line regardless of vector layout.
+  // Each deque heap-allocated so neighbouring members' hot words never share
+  // a line regardless of vector layout.
   std::vector<std::unique_ptr<WorkStealingDeque>> queues_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  /// Flattened n x (n-1) victim-order table; empty = staggered flat ring.
-  std::vector<i32> victim_order_;
   alignas(kCacheLine) std::atomic<i64> outstanding_{0};
   alignas(kCacheLine) std::atomic<i64> queued_{0};
 };

@@ -1,7 +1,6 @@
 #include "runtime/team.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -17,7 +16,6 @@
 
 #include "runtime/fault.h"
 #include "runtime/metrics.h"
-#include "runtime/topology.h"
 #include "runtime/trace.h"
 
 namespace zomp::rt {
@@ -38,64 +36,6 @@ u64 monotonic_ns() {
 std::atomic<i32>& gtid_counter() {
   static std::atomic<i32> counter{0};
   return counter;
-}
-
-/// Above this many members the O(n^2) victim-order table is skipped and
-/// take() keeps its staggered flat ring (256 members -> 255 KiB of table;
-/// teams that large are oversubscription artefacts, not locality targets).
-constexpr i32 kVictimTableMaxMembers = 256;
-
-/// Locality tier between two members' assigned places: 0 same place, 1 same
-/// core, 2 same socket, 3 anywhere/unknown. Core/socket come from the
-/// scheduling topology's dense renumbering (topology.h), located via each
-/// place's first OS processor — places that cross that granularity (e.g. a
-/// socket-wide place) compare by where they start, which is exactly the
-/// libomp convention for place ordering.
-i32 locality_tier(const BindingPlan& binding, i32 a, i32 b) {
-  const i32 pa = binding.members[static_cast<std::size_t>(a)].place;
-  const i32 pb = binding.members[static_cast<std::size_t>(b)].place;
-  if (pa == pb) return 0;
-  const PlaceTable& table = PlaceTable::instance();
-  if (pa < 0 || pb < 0 || pa >= table.num_places() ||
-      pb >= table.num_places()) {
-    return 3;
-  }
-  const Place& place_a = table.place(pa);
-  const Place& place_b = table.place(pb);
-  if (place_a.procs.empty() || place_b.procs.empty()) return 3;
-  const Topology& topo = scheduling_topology();
-  const ProcInfo* ia = topo.find_proc(place_a.procs.front());
-  const ProcInfo* ib = topo.find_proc(place_b.procs.front());
-  if (ia == nullptr || ib == nullptr) return 3;
-  if (ia->core == ib->core) return 1;
-  if (ia->socket == ib->socket) return 2;
-  return 3;
-}
-
-/// Builds the flattened n x (n-1) hierarchical victim order (DESIGN.md
-/// S1.9): for each member, victims sorted by locality tier — same place,
-/// same core, same socket, anywhere — with every tier rotated by the member
-/// id so equal-distance thieves start on different victims (the anti-convoy
-/// stagger folded into the hierarchy).
-std::vector<i32> build_victim_order(const BindingPlan& binding, i32 n) {
-  std::vector<i32> order;
-  order.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1));
-  std::array<std::vector<i32>, 4> tiers;
-  for (i32 tid = 0; tid < n; ++tid) {
-    for (auto& tier : tiers) tier.clear();
-    for (i32 v = 0; v < n; ++v) {
-      if (v == tid) continue;
-      tiers[static_cast<std::size_t>(locality_tier(binding, tid, v))]
-          .push_back(v);
-    }
-    for (auto& tier : tiers) {
-      if (tier.empty()) continue;
-      const i32 rot = tid % static_cast<i32>(tier.size());
-      std::rotate(tier.begin(), tier.begin() + rot, tier.end());
-      order.insert(order.end(), tier.begin(), tier.end());
-    }
-  }
-  return order;
 }
 
 }  // namespace
@@ -181,56 +121,6 @@ void Team::checkpoint_master() {
   master_ws_seq_ = master.ws_seq;
   master_single_seq_ = master.single_seq;
   master_red_seq_ = master.red_seq;
-}
-
-void Team::set_binding(BindingPlan plan) {
-  binding_ = std::move(plan);
-  // The binding decides locality, so everything derived from member places
-  // is rebuilt with it: the dispatch shard map and the steal-victim order.
-  // Same safe point as the plan itself — master-only, before any member
-  // runs (pool.cpp computes the plan ahead of the doorbell ring).
-  rebuild_locality();
-}
-
-void Team::rebuild_locality() {
-  const i32 n = size();
-  ShardMap map;
-  if (!binding_.active || n <= 1 ||
-      binding_.members.size() != static_cast<std::size_t>(n)) {
-    shard_map_ = std::move(map);  // flat: one shard, no victim table
-    tasks_.set_victim_order({});
-    return;
-  }
-  // Shard = distinct member place, in ascending place order (so shard slabs
-  // line up with place order); places beyond the cap merge into the last
-  // shard, which only coarsens locality, never loses members.
-  std::vector<i32> places;
-  places.reserve(static_cast<std::size_t>(n));
-  for (const MemberBinding& mb : binding_.members) places.push_back(mb.place);
-  std::vector<i32> distinct = places;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  map.nshards = std::min<i32>(static_cast<i32>(distinct.size()),
-                              kMaxPlaceShards);
-  map.member_shard.resize(static_cast<std::size_t>(n));
-  map.weight.assign(static_cast<std::size_t>(map.nshards), 0);
-  map.shard_members.assign(static_cast<std::size_t>(map.nshards), {});
-  for (i32 tid = 0; tid < n; ++tid) {
-    const i32 rank = static_cast<i32>(
-        std::lower_bound(distinct.begin(), distinct.end(),
-                         places[static_cast<std::size_t>(tid)]) -
-        distinct.begin());
-    const i32 shard = std::min(rank, map.nshards - 1);
-    map.member_shard[static_cast<std::size_t>(tid)] = shard;
-    ++map.weight[static_cast<std::size_t>(shard)];
-    map.shard_members[static_cast<std::size_t>(shard)].push_back(tid);
-  }
-  const bool multi_place = map.nshards > 1;
-  shard_map_ = std::move(map);
-  tasks_.set_victim_order(multi_place && n <= kVictimTableMaxMembers
-                              ? build_victim_order(binding_, n)
-                              : std::vector<i32>{});
 }
 
 namespace {
@@ -659,11 +549,8 @@ void Team::dispatch_init(ThreadState& ts, Schedule schedule, i64 lo, i64 hi,
     slot.chunk = resolved.chunk;
     slot.trips = trip_count(lo, hi, step);
     slot.nthreads = size();
-    // Per-place cursor slabs (DESIGN.md S1.9) for the claim-based kinds;
-    // static kinds get the flat single shard (their cursor is per-member).
-    dispatch_init_shards(slot, shard_map_,
-                         /*sharded=*/resolved.kind == ScheduleKind::kDynamic ||
-                             resolved.kind == ScheduleKind::kGuided);
+    // Relaxed: `ready`'s release below publishes the reset cursor.
+    slot.next.store(0, std::memory_order_relaxed);
     slot.done_members.store(0, std::memory_order_relaxed);
     // Reset the ordered turnstile here, before `ready` is published: every
     // member waits for `ready` before claiming a chunk, so no iteration can
@@ -679,10 +566,6 @@ void Team::dispatch_init(ThreadState& ts, Schedule schedule, i64 lo, i64 hi,
 
   ts.dispatch.slot = &slot;
   ts.dispatch.seq = seq;
-  ts.dispatch.shard =
-      shard_map_.member_shard.empty()
-          ? 0
-          : shard_map_.member_shard[static_cast<std::size_t>(ts.tid)];
   ts.dispatch.last_chunk = false;
   if (slot.kind == ScheduleKind::kStatic || slot.kind == ScheduleKind::kAuto) {
     dispatch_init_static_cursor(slot, ts.dispatch, ts.tid);
@@ -697,9 +580,9 @@ bool Team::dispatch_next(ThreadState& ts, i64* plo, i64* phi, bool* plast) {
   // Chunk claims are cancellation points: a pending loop cancel (or a
   // parallel cancel, which subsumes it — the member must reach the region
   // end) makes every member's next claim take the exhaustion path instead,
-  // so the loop's remaining iterations are abandoned without any explicit
-  // shard surgery — the cursors simply stop advancing and each member
-  // detaches on its own schedule.
+  // so the loop's remaining iterations are abandoned without touching the
+  // cursor — it simply stops advancing and each member detaches on its own
+  // schedule.
   const bool cancelled =
       (cancel_request_.load(std::memory_order_acquire) &
        (kCancelLoop | kCancelParallel)) != 0;
@@ -1071,41 +954,13 @@ void Team::taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize,
     const std::function<void(i64, i64)>* body = &chunk_body;
     const i64 base = trips / chunks;
     const i64 rem = trips % chunks;
-    // Place-aware spray (DESIGN.md S1.9): on a multi-place team the chunk
-    // tasks are dealt round-robin across the place shards (and round-robin
-    // among each shard's members) through the mailboxes, instead of all
-    // landing in the creator's deque — every place starts with local work
-    // rather than cross-socket-stealing the lot from the creator. Final
-    // contexts never spray: their chunks must run inline (included tasks).
-    const ShardMap& sm = shard_map_;
-    const bool spray =
-        size() > 1 && sm.nshards > 1 && !ts.current_task->in_final;
     i64 start = lo;
     for (i64 c = 0; c < chunks; ++c) {
       const i64 len = base + (c < rem ? 1 : 0);
       const i64 clo = start;
       const i64 chi = start + len;
       start = chi;
-      auto chunk_task = [body, clo, chi] { (*body)(clo, chi); };
-      if (!spray) {
-        task_create(ts, chunk_task);
-        continue;
-      }
-      const i32 shard = static_cast<i32>(c % sm.nshards);
-      const auto& members = sm.shard_members[static_cast<std::size_t>(shard)];
-      const i32 target = members[static_cast<std::size_t>(
-          (c / sm.nshards) % static_cast<i64>(members.size()))];
-      if (target == ts.tid ||
-          fault_should_fail(FaultSite::kAlloc)) {
-        // Same-degradation spray: an injected failure keeps the chunk local
-        // (task_create's own fault check then decides deferred vs inline).
-        task_create(ts, chunk_task);
-      } else if (tasks_.push_remote(
-                     target, new_task(ts, chunk_task, /*priority=*/0))) {
-        // Wake a parked join-barrier waiter, mirroring enqueue_task: the
-        // mailed task is their work too (own-mailbox pull or steal).
-        bar_gate_.wake_one();
-      }
+      task_create(ts, [body, clo, chi] { (*body)(clo, chi); });
     }
   }
   taskgroup_end(ts, group);

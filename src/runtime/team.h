@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/barrier.h"
@@ -186,17 +187,11 @@ class Team {
 
   // -- Affinity (DESIGN.md S1.8) --------------------------------------------
 
-  /// Installs this region's placement (places.h plan_binding output) and
-  /// recomputes everything locality derives from it: the steal-victim order
-  /// table and the per-place dispatch shard map (DESIGN.md S1.9).
+  /// Installs this region's placement (places.h plan_binding output).
   /// Master-only, before any member runs; a hot re-arm with an unchanged
-  /// binding signature keeps the previous plan (and derived maps) untouched.
-  void set_binding(BindingPlan plan);
+  /// binding signature keeps the previous plan untouched.
+  void set_binding(BindingPlan plan) { binding_ = std::move(plan); }
   const BindingPlan& binding() const { return binding_; }
-
-  /// The per-place dispatch shard map derived from the binding plan; flat
-  /// (nshards == 1) for unbound or single-place teams.
-  const ShardMap& shard_map() const { return shard_map_; }
 
   /// Applies member `tid`'s placement to the calling thread: overrides the
   /// place-partition ICVs copied from the team, records the assigned place,
@@ -276,8 +271,8 @@ class Team {
   /// Claims the next chunk. Returns false (and detaches the member from the
   /// slot, freeing it once all members detached) when exhausted — or when a
   /// loop/parallel cancel is pending, in which case the remaining iterations
-  /// are abandoned un-executed (the cancellation drain: shards empty member
-  /// by member as each one's next claim detaches instead).
+  /// are abandoned un-executed (the cancellation drain: each member's next
+  /// claim detaches instead).
   bool dispatch_next(ThreadState& ts, i64* plo, i64* phi, bool* plast);
 
   /// Detaches the calling member from its bound dispatch slot without
@@ -403,11 +398,6 @@ class Team {
   /// still parked.
   void complete_depnode(ThreadState& ts, DepNode& node);
 
-  /// Recomputes the locality products of the binding plan: the shard map and
-  /// the hierarchical steal-victim order (DESIGN.md S1.9). Master-only,
-  /// while the team is quiescent (construction / set_binding).
-  void rebuild_locality();
-
   /// True when `task` must be discarded at its scheduling point: a parallel
   /// cancel is pending, or the task's taskgroup chain contains a cancelled
   /// group. execute_task skips the body but keeps all accounting.
@@ -427,9 +417,6 @@ class Team {
 
   /// This region's placement; inactive (default) teams bind nothing.
   BindingPlan binding_;
-
-  /// Per-place dispatch shards derived from binding_ (see shard_map()).
-  ShardMap shard_map_;
 
   // Task-aware sense barrier (epoch-based so members need no local flag).
   alignas(kCacheLine) std::atomic<i32> bar_arrived_{0};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -156,7 +155,7 @@ bool Topology::usable(i32 os_proc) const {
 
 const ProcInfo* Topology::find_proc(i32 os_proc) const {
   // Linear scan: topologies are at most a few hundred entries and the
-  // callers (place parsing, once-per-fork victim ordering) are cold paths.
+  // caller (place parsing) is a cold path.
   for (const ProcInfo& p : procs_) {
     if (p.os_proc == os_proc) return &p;
   }
@@ -167,19 +166,5 @@ const Topology& Topology::instance() {
   static const Topology topo = discover();
   return topo;
 }
-
-namespace {
-std::unique_ptr<Topology> g_scheduling_override;
-}  // namespace
-
-const Topology& scheduling_topology() {
-  return g_scheduling_override ? *g_scheduling_override : Topology::instance();
-}
-
-void set_scheduling_topology_for_test(Topology topo) {
-  g_scheduling_override = std::make_unique<Topology>(std::move(topo));
-}
-
-void clear_scheduling_topology_for_test() { g_scheduling_override.reset(); }
 
 }  // namespace zomp::rt

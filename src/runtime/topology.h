@@ -63,8 +63,6 @@ class Topology {
   bool usable(i32 os_proc) const;
 
   /// Locates `os_proc` in the hierarchy; nullptr when it is not usable.
-  /// The locality tiers of the scheduler (same core < same socket <
-  /// cross-socket) key off the returned dense core/socket ids.
   const ProcInfo* find_proc(i32 os_proc) const;
 
  private:
@@ -81,18 +79,5 @@ class Topology {
 /// sorted ascending. Empty when the platform offers no affinity call — the
 /// caller falls back to `hardware_concurrency` numbering.
 std::vector<i32> process_affinity_mask();
-
-/// The topology locality-aware scheduling decisions read (steal-victim
-/// ordering, DESIGN.md S1.9). Defaults to Topology::instance(); tests and
-/// benches install a synthetic machine so the victim-order math is
-/// exercisable on a 1-core CI container. Distinct from instance() on
-/// purpose: the place table and the OS binding path keep using the real
-/// machine even while a synthetic override is active.
-const Topology& scheduling_topology();
-
-/// Installs (or, with nullopt semantics via clear, removes) the synthetic
-/// scheduling topology. Call only while no parallel region is running.
-void set_scheduling_topology_for_test(Topology topo);
-void clear_scheduling_topology_for_test();
 
 }  // namespace zomp::rt

@@ -67,39 +67,6 @@ void dispatch_init_static_cursor(const DispatchSlot& slot, MemberDispatch& md,
   md.last_chunk = false;
 }
 
-void dispatch_init_shards(DispatchSlot& slot, const ShardMap& map,
-                          bool sharded) {
-  const i32 ns = sharded && !map.weight.empty()
-                     ? std::min<i32>(std::max(map.nshards, 1), kMaxPlaceShards)
-                     : 1;
-  slot.nshards = ns;
-  if (ns == 1) {
-    slot.shards[0].lo = 0;
-    slot.shards[0].hi = slot.trips;
-    slot.shards[0].next.store(0, std::memory_order_relaxed);
-    return;
-  }
-  i64 total_weight = 0;
-  for (i32 s = 0; s < ns; ++s) {
-    total_weight += std::max(1, map.weight[static_cast<std::size_t>(s)]);
-  }
-  // Proportional slab boundaries without trips*weight overflow:
-  // b(cum) = floor(trips/W)*cum + floor((trips mod W)*cum / W) is monotone
-  // in cum with b(0) = 0 and b(W) = trips, so the slabs partition
-  // [0, trips) even for huge trip counts.
-  i64 cum = 0;
-  i64 prev = 0;
-  for (i32 s = 0; s < ns; ++s) {
-    cum += std::max(1, map.weight[static_cast<std::size_t>(s)]);
-    const i64 b = (slot.trips / total_weight) * cum +
-                  (slot.trips % total_weight) * cum / total_weight;
-    slot.shards[s].lo = prev;
-    slot.shards[s].hi = b;
-    slot.shards[s].next.store(prev, std::memory_order_relaxed);
-    prev = b;
-  }
-}
-
 namespace {
 
 /// Guided chunk size: half of an even split of what remains, bounded below by
@@ -110,39 +77,18 @@ i64 guided_size(i64 remaining, i64 min_chunk, i32 nthreads) {
   return std::max<i64>(min_chunk, half_split);
 }
 
-/// Maps a claimed trip window back to the original iteration space.
-/// `end == slot.trips` identifies the (unique) chunk holding the
-/// sequentially-last iteration: claim windows on one cursor are disjoint,
-/// and only the last shard's slab ends at the trip count.
-bool serve_trips(const DispatchSlot& slot, i64 begin, i64 end, i64* plo,
-                 i64* phi, bool* plast) {
+/// Maps a claimed trip window [begin, begin + len) back to the original
+/// iteration space, clamped at the trip count. The window that reaches the
+/// trip count is the (unique) one holding the sequentially-last iteration:
+/// claim windows on one cursor are disjoint.
+bool serve_trips(const DispatchSlot& slot, i64 begin, i64 len,
+                 Counters& counters, i64* plo, i64* phi, bool* plast) {
+  const i64 end = std::min(begin + len, slot.trips);
+  counters.add(Metric::kDispatchClaims);
   *plo = slot.lo + begin * slot.step;
   *phi = std::min(slot.lo + end * slot.step, slot.hi);
   *plast = end == slot.trips;
   return true;
-}
-
-/// Cross-place slab steal (DESIGN.md S1.9): when a member's own slab is
-/// dry it claims half of another place's remainder — at least one chunk —
-/// with ONE fetch_add on the victim cursor, and serves the whole window as
-/// a single private chunk. One remote RMW per slab instead of per chunk;
-/// exactly-once falls out of the shared-cursor argument (immutable bounds,
-/// every sub-`hi` claim owns its window, overshoot past `hi` owns nothing).
-bool steal_slab(DispatchSlot& slot, i32 my_shard, i64 chunk,
-                Counters& counters, i64* plo, i64* phi, bool* plast) {
-  for (i32 k = 1; k < slot.nshards; ++k) {
-    ShardCursor& v = slot.shards[(my_shard + k) % slot.nshards];
-    const i64 seen = v.next.load(std::memory_order_relaxed);
-    if (seen >= v.hi) continue;
-    const i64 remaining_chunks = (v.hi - seen + chunk - 1) / chunk;
-    const i64 take = std::max<i64>(1, remaining_chunks / 2) * chunk;
-    const i64 claimed = v.next.fetch_add(take, std::memory_order_relaxed);
-    if (claimed >= v.hi) continue;  // drained between the read and the add
-    counters.note_shard_claim((my_shard + k) % slot.nshards);
-    return serve_trips(slot, claimed, std::min(claimed + take, v.hi), plo,
-                       phi, plast);
-  }
-  return false;
 }
 
 }  // namespace
@@ -156,7 +102,7 @@ bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md,
       // Blocks partition the iteration space, so exactly the block that ends
       // at slot.hi contains the sequentially-last iteration.
       if (md.static_span <= 0 || md.static_next >= slot.hi) return false;
-      counters.note_shard_claim(0);  // static kinds run on the flat shard
+      counters.add(Metric::kDispatchClaims);
       *plo = md.static_next;
       *phi = md.static_hi;
       *plast = *phi >= slot.hi;
@@ -170,59 +116,42 @@ bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md,
     }
     case ScheduleKind::kDynamic: {
       const i64 chunk = std::max<i64>(1, slot.chunk);
-      const i32 my_shard = std::min(md.shard, slot.nshards - 1);
-      ShardCursor& own = slot.shards[my_shard];
-      // Claim a *batch* of chunks from the member's own place slab with one
-      // fetch_add. The batch size comes from a relaxed pre-read of the
-      // cursor: stale is fine — `next` only grows and the bounds are
-      // immutable, so staleness can only mis-size the batch, never un-own a
-      // claim (overshoot is clamped at the slab bound); scaling the batch
-      // to the remaining work (÷ kBatchDivisor·nthreads, cap
-      // kMaxBatchChunks) bounds the tail imbalance to a
-      // 1/(kBatchDivisor·nthreads) fraction of what's left.
-      const i64 seen = own.next.load(std::memory_order_relaxed);
-      if (seen < own.hi) {
-        const i64 remaining_chunks = (own.hi - seen + chunk - 1) / chunk;
-        const i64 batch = std::clamp<i64>(
-            remaining_chunks / (kBatchDivisor * i64{slot.nthreads}), 1,
-            kMaxBatchChunks);
-        const i64 claimed =
-            own.next.fetch_add(batch * chunk, std::memory_order_relaxed);
-        if (claimed < own.hi) {
-          counters.note_shard_claim(my_shard);
-          return serve_trips(slot, claimed,
-                             std::min(claimed + batch * chunk, own.hi), plo,
-                             phi, plast);
-        }
-      }
-      // Own slab dry (a stale-high pre-read can only happen when it truly
-      // is: `next` is monotone, so stale `seen` <= current next).
-      return steal_slab(slot, my_shard, chunk, counters, plo, phi, plast);
+      // Claim a *batch* of chunks with one fetch_add. The batch size comes
+      // from a relaxed pre-read of the cursor: stale is fine — `next` only
+      // grows and `trips` is fixed, so staleness can only mis-size the
+      // batch, never un-own a claim (overshoot is clamped at the trip
+      // count); scaling the batch to the remaining work (÷
+      // kBatchDivisor·nthreads, cap kMaxBatchChunks) bounds the tail
+      // imbalance to a 1/(kBatchDivisor·nthreads) fraction of what's left.
+      // A stale pre-read at or past the end means the cursor truly is dry:
+      // stale `seen` <= current `next`.
+      const i64 seen = slot.next.load(std::memory_order_relaxed);
+      if (seen >= slot.trips) return false;
+      const i64 remaining_chunks = (slot.trips - seen + chunk - 1) / chunk;
+      const i64 batch = std::clamp<i64>(
+          remaining_chunks / (kBatchDivisor * i64{slot.nthreads}), 1,
+          kMaxBatchChunks);
+      const i64 claimed =
+          slot.next.fetch_add(batch * chunk, std::memory_order_relaxed);
+      if (claimed >= slot.trips) return false;
+      return serve_trips(slot, claimed, batch * chunk, counters, plo, phi,
+                         plast);
     }
     case ScheduleKind::kGuided: {
       // Guided shares the fetch_add cursor protocol: the chunk size is
-      // computed from a relaxed pre-read of the member's own slab cursor,
-      // then claimed with one fetch_add — no CAS retry loop. A concurrent
-      // claim between the read and the add only makes this chunk slightly
-      // larger than exact guided-self-scheduling prescribes; it is still
-      // >= the requested minimum, still clamped at the slab bound, and the
-      // decreasing shape is preserved because `remaining` only shrinks.
+      // computed from a relaxed pre-read of the cursor, then claimed with
+      // one fetch_add — no CAS retry loop. A concurrent claim between the
+      // read and the add only makes this chunk slightly larger than exact
+      // guided-self-scheduling prescribes; it is still >= the requested
+      // minimum, still clamped at the trip count, and the decreasing shape
+      // is preserved because `remaining` only shrinks.
       const i64 min_chunk = std::max<i64>(1, slot.chunk);
-      const i32 my_shard = std::min(md.shard, slot.nshards - 1);
-      ShardCursor& own = slot.shards[my_shard];
-      const i64 seen = own.next.load(std::memory_order_relaxed);
-      if (seen < own.hi) {
-        const i64 size = guided_size(own.hi - seen, min_chunk, slot.nthreads);
-        const i64 claimed =
-            own.next.fetch_add(size, std::memory_order_relaxed);
-        if (claimed < own.hi) {
-          counters.note_shard_claim(my_shard);
-          return serve_trips(slot, claimed, std::min(claimed + size, own.hi),
-                             plo, phi, plast);
-        }
-      }
-      return steal_slab(slot, my_shard, min_chunk, counters, plo, phi,
-                        plast);
+      const i64 seen = slot.next.load(std::memory_order_relaxed);
+      if (seen >= slot.trips) return false;
+      const i64 size = guided_size(slot.trips - seen, min_chunk, slot.nthreads);
+      const i64 claimed = slot.next.fetch_add(size, std::memory_order_relaxed);
+      if (claimed >= slot.trips) return false;
+      return serve_trips(slot, claimed, size, counters, plo, phi, plast);
     }
     case ScheduleKind::kRuntime:
       ZOMP_CHECK(false, "runtime schedule must be resolved before dispatch");

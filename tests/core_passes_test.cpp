@@ -94,6 +94,24 @@ TEST(PassPipelineTest, OptLevelZeroRunsNoOptimizerPass) {
   EXPECT_EQ(result.pass_stats.hoisted_forks, 0);
 }
 
+TEST(PassPipelineTest, DumpIrRejectsPassesThePipelineDoesNotRun) {
+  // `bogus` names no pass at all; `fold` is an -O1 pass that -O0 never runs.
+  // Either would otherwise dump nothing and look like an empty dump.
+  const std::pair<int, std::string> cases[] = {{1, "bogus"}, {0, "fold"}};
+  for (const auto& [opt_level, name] : cases) {
+    auto result = compile_at(kTwoRegions, opt_level, {"sema", name});
+    EXPECT_FALSE(result.ok) << name;
+    EXPECT_TRUE(result.ir_dumps.empty()) << "rejected before any pass runs";
+    const std::string text = result.diagnostics_text();
+    EXPECT_TRUE(contains(text, "'" + name + "'")) << text;
+    EXPECT_TRUE(contains(text, "valid: omp-lower, sema, ")) << text;
+  }
+  auto o1 = compile_at(kTwoRegions, /*opt_level=*/1, {"fold"});
+  ASSERT_TRUE(o1.ok) << o1.diagnostics_text();
+  ASSERT_EQ(o1.ir_dumps.size(), 1u);
+  EXPECT_EQ(o1.ir_dumps[0].first, "fold");
+}
+
 // -- fold -------------------------------------------------------------------
 
 TEST(FoldPassTest, LiteralizesDirectiveOperandsAndDropsTrueIf) {

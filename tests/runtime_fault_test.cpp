@@ -2,7 +2,7 @@
 //
 // The three injection sites each have a degradation contract:
 //   spawn    — a failed worker spawn shrinks the team; every team-sized
-//              structure (barrier, reduction tree, dispatch shards) follows
+//              structure (barrier, reduction tree, loop split) follows
 //              the short size, so the region still completes correctly.
 //   alloc    — a failed task allocation runs the task undeferred inline,
 //              preserving task semantics at the cost of parallelism.

@@ -833,7 +833,7 @@ TEST(SchedStressTest, ConcurrentMastersRebindIndependently) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// -- Locality-aware steal path (DESIGN.md S1.9) ------------------------------
+// -- Steal path and taskloop bursts -------------------------------------------
 
 TEST(SchedStressTest, StealTelemetryCountsAttemptsAndLostRaces) {
   // Single-producer storm with many thieves contending on one deque: the
@@ -874,13 +874,13 @@ TEST(SchedStressTest, StealTelemetryCountsAttemptsAndLostRaces) {
       << "an attempt either steals, loses the CAS, or finds the deque empty";
 }
 
-TEST(SchedStressTest, RemoteMailboxBurstWakesParkedWaiters) {
-  // Regression for the maybe_empty pre-filter audit: waiters condvar-park in
-  // the join barrier past the doorbell grace, then the single winner sprays
-  // a taskloop whose chunks land in OTHER members' mailboxes (push_remote).
-  // Parked waiters must wake for work they did not see published and the
-  // barrier must drain everything — under TSan this also checks the
-  // mailbox count/lock publication order.
+TEST(SchedStressTest, TaskloopBurstWakesParkedWaiters) {
+  // Regression for the maybe_empty pre-filter audit: on a spread-bound
+  // team, waiters condvar-park in the join barrier past the doorbell grace,
+  // then the single winner creates a taskloop burst in its own deque.
+  // Parked waiters must wake to steal work they did not see published and
+  // the barrier must drain everything — under TSan this also checks the
+  // queued-count publication order against the park protocol.
   const auto saved = get_wait_policy();
   set_wait_policy(rt::WaitPolicy::kPassive);
   constexpr rt::i64 kN = 512;
@@ -888,12 +888,12 @@ TEST(SchedStressTest, RemoteMailboxBurstWakesParkedWaiters) {
   for (auto& h : hits) h.store(0, std::memory_order_relaxed);
   ParallelOptions opts;
   opts.num_threads = 4;
-  opts.proc_bind = rt::BindKind::kSpread;  // multi-place -> spray enabled
+  opts.proc_bind = rt::BindKind::kSpread;
   parallel(
       [&] {
         single([&] {
           // Outlast the waiters' grace so they are parked when the burst
-          // arrives through their mailboxes.
+          // arrives.
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
           taskloop(
               rt::i64{0}, kN,

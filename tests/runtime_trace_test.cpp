@@ -158,8 +158,8 @@ TEST_F(TraceRingTest, SerializedJsonHasSchemaAndPairing) {
   }
   EXPECT_EQ(parallel_b, 1);
   EXPECT_EQ(implicit_tids.size(), 4u) << "every member an implicit task";
-  // The sharded dynamic dispatcher serves slabs, not fixed chunks, so the
-  // claim count is workload-dependent; at least one claim must appear.
+  // Dynamic claims batch a varying number of chunks per fetch_add, so the
+  // claim count depends on timing; at least one claim must appear.
   EXPECT_GE(dispatch_claims, 1);
   EXPECT_EQ(task_b, 8);
   EXPECT_GE(barrier_b, 4);
@@ -454,14 +454,6 @@ rt::u64 delta(const MetricArray& before, const MetricArray& after,
          before[static_cast<std::size_t>(m)];
 }
 
-rt::u64 shard_lane_sum() {
-  rt::u64 sum = 0;
-  for (rt::i32 s = 0; s < rt::kMetricsMaxShards; ++s) {
-    sum += rt::metrics_shard_claims(s);
-  }
-  return sum;
-}
-
 /// A dynamic loop, 16 tasks from a single, and an explicit barrier.
 void counted_workload() {
   for_each(0, 256, [](rt::i64) {},
@@ -480,7 +472,6 @@ class MetricsTest : public ::testing::Test {
 
 TEST_F(MetricsTest, RegionWorkloadsFeedTheCounters) {
   const MetricArray before = metric_values();
-  const rt::u64 lanes_before = shard_lane_sum();
   parallel([] { counted_workload(); }, ParallelOptions{4, true});
   const MetricArray after = metric_values();
 
@@ -491,9 +482,6 @@ TEST_F(MetricsTest, RegionWorkloadsFeedTheCounters) {
   EXPECT_EQ(delta(before, after, rt::Metric::kHotTeamHits) +
                 delta(before, after, rt::Metric::kHotTeamRebuilds),
             1u);
-  // Every dispatch claim lands in exactly one shard lane.
-  EXPECT_EQ(shard_lane_sum() - lanes_before,
-            delta(before, after, rt::Metric::kDispatchClaims));
 }
 
 TEST_F(MetricsTest, BarrierWaitTimeAccumulates) {
@@ -520,9 +508,8 @@ TEST_F(MetricsTest, ReportIsFencedAndListsEveryCounter) {
   for (const char* name :
        {"parallel_regions", "hot_team_hits", "hot_team_rebuilds",
         "barrier_episodes", "barrier_wait_ns", "dispatch_claims",
-        "tasks_executed", "tasks_stolen", "tasks_mailbox_pulled",
-        "steal_attempts", "steal_lost", "cancellations_observed",
-        "faults_injected"}) {
+        "tasks_executed", "tasks_stolen", "steal_attempts", "steal_lost",
+        "cancellations_observed", "faults_injected"}) {
     EXPECT_NE(report.find(name), std::string::npos) << name;
   }
 }
@@ -551,7 +538,6 @@ TEST(CounterTest, TeamStatsDeltasEqualProcessDeltas) {
   struct Snapshot {
     TeamStats team;
     MetricArray process{};
-    rt::u64 lanes = 0;
   };
   Snapshot before;
   Snapshot after;
@@ -572,7 +558,6 @@ TEST(CounterTest, TeamStatsDeltasEqualProcessDeltas) {
     }
     out.team = team_stats();
     out.process = metric_values();
-    out.lanes = shard_lane_sum();
     released.store(round, std::memory_order_release);
   };
   parallel(
@@ -589,7 +574,6 @@ TEST(CounterTest, TeamStatsDeltasEqualProcessDeltas) {
   const std::pair<rt::i64 TeamStats::*, rt::Metric> fields[] = {
       {&TeamStats::steal_attempts, rt::Metric::kStealAttempts},
       {&TeamStats::steal_lost, rt::Metric::kStealLost},
-      {&TeamStats::mailbox_pulls, rt::Metric::kMailboxPulls},
       {&TeamStats::tasks_executed, rt::Metric::kTasksExecuted},
       {&TeamStats::dispatch_claims, rt::Metric::kDispatchClaims},
       {&TeamStats::barrier_episodes, rt::Metric::kBarrierEpisodes},
@@ -600,8 +584,6 @@ TEST(CounterTest, TeamStatsDeltasEqualProcessDeltas) {
   }
   EXPECT_EQ(process(rt::Metric::kTasksExecuted), 16);
   EXPECT_GE(process(rt::Metric::kDispatchClaims), 1);
-  EXPECT_EQ(static_cast<rt::i64>(after.lanes - before.lanes),
-            process(rt::Metric::kDispatchClaims));
 }
 
 TEST(CounterTest, ExitedThreadCountsOutliveTheThread) {
@@ -694,7 +676,6 @@ TEST(TeamStatsTest, RegionWorkIsVisibleFromInsideTheRegion) {
   // The ABI twin reads the same aggregate.
   EXPECT_EQ(abi_st.steal_attempts, st.steal_attempts);
   EXPECT_EQ(abi_st.steal_lost, st.steal_lost);
-  EXPECT_EQ(abi_st.mailbox_pulls, st.mailbox_pulls);
   EXPECT_EQ(abi_st.tasks_executed, st.tasks_executed);
   EXPECT_EQ(abi_st.dispatch_claims, st.dispatch_claims);
   EXPECT_EQ(abi_st.barrier_episodes, st.barrier_episodes);
@@ -703,8 +684,8 @@ TEST(TeamStatsTest, RegionWorkIsVisibleFromInsideTheRegion) {
 TEST(TeamStatsTest, AbiGuardsNullAndMzTwinBoundsWhich) {
   zomp_team_stats(nullptr);  // must not crash
   EXPECT_EQ(mz_omp_team_stat(-1), 0);
-  EXPECT_EQ(mz_omp_team_stat(6), 0);
-  for (std::int64_t which = 0; which < 6; ++which) {
+  EXPECT_EQ(mz_omp_team_stat(5), 0);
+  for (std::int64_t which = 0; which < 5; ++which) {
     EXPECT_GE(mz_omp_team_stat(which), 0) << which;
   }
 }
@@ -722,7 +703,7 @@ pub fn main() void {
   }
   @print(total);
   @print(mz_omp_get_wtick() > 0.0);
-  @print(mz_omp_team_stat(5) >= 0);
+  @print(mz_omp_team_stat(4) >= 0);
   @print(mz_omp_trace_flush());
 }
 )";
