@@ -1,7 +1,6 @@
 #include "codegen/codegen.h"
 
 #include <sstream>
-#include <unordered_map>
 
 #include "lang/sema.h"
 
@@ -376,7 +375,6 @@ class Emitter {
         out_ << '\n';
         break;
       case Stmt::Kind::kWhile: {
-        hoist_packs_for_loop(stmt);
         // The continue expression must run on `continue`, so it becomes the
         // for-statement's iteration expression.
         std::string step_text;
@@ -399,7 +397,6 @@ class Emitter {
         break;
       }
       case Stmt::Kind::kForRange: {
-        hoist_packs_for_loop(stmt);
         const std::string lo = fresh("flo");
         const std::string hi = fresh("fhi");
         line() << "{";
@@ -633,81 +630,21 @@ class Emitter {
     out_ << '\n';
   }
 
-  /// Emits a fork's void* capture pack at the current position and remembers
-  /// it so emit_fork() reuses the array instead of rebuilding it per
-  /// iteration. Hoisting is address-only: the pack holds &capture, and the
-  /// dce-hoist pass marked the fork only when every captured variable is
-  /// declared outside the loops being hoisted past, so the addresses are
-  /// invariant there.
-  void emit_hoisted_pack(const Stmt& fork) {
-    const std::string args = fresh("hoistargs");
-    line() << "void* " << args << "["
-           << std::max<std::size_t>(1, fork.captures.size()) << "] = {";
-    for (std::size_t i = 0; i < fork.captures.size(); ++i) {
-      if (i > 0) out_ << ", ";
-      out_ << "(void*)&" << var_name(fork.captures[i].symbol);
-    }
-    if (fork.captures.empty()) out_ << "nullptr";
-    out_ << "};\n";
-    hoisted_args_.emplace(&fork, args);
-  }
-
-  /// Pre-order scan under a serial loop about to be emitted: forks whose
-  /// hoist_depth says "my pack is invariant across exactly `depth` enclosing
-  /// serial loops" get their pack emitted here, just outside that loop.
-  /// Nested serial loops raise the depth; kOmpWsLoop subtrees are skipped
-  /// because the dce-hoist pass resets its loop context at worksharing
-  /// boundaries (hoist depths inside count only loops inside — those loops
-  /// run their own scan when emitted). A deeper hoist_depth than `depth`
-  /// matches an outer loop's scan instead, so each fork is claimed once.
-  void hoist_packs(const Stmt& s, int depth) {
-    if (s.kind == Stmt::Kind::kOmpFork) {
-      if (s.hoist_depth == depth && hoisted_args_.count(&s) == 0) {
-        emit_hoisted_pack(s);
-      }
-      return;
-    }
-    if (s.kind == Stmt::Kind::kOmpWsLoop) return;
-    const bool is_loop =
-        s.kind == Stmt::Kind::kForRange || s.kind == Stmt::Kind::kWhile;
-    const int d = depth + (is_loop ? 1 : 0);
-    for (const auto& child : s.stmts) hoist_packs(*child, d);
-    for (const Stmt* child : {s.then_block.get(), s.else_block.get(),
-                              s.step.get(), s.body.get()}) {
-      if (child != nullptr) hoist_packs(*child, d);
-    }
-  }
-
-  /// Scan entry point, called right before emitting a serial loop: children
-  /// of the loop are one level in.
-  void hoist_packs_for_loop(const Stmt& loop) {
-    for (const auto& child : loop.stmts) hoist_packs(*child, 1);
-    for (const Stmt* child : {loop.step.get(), loop.body.get()}) {
-      if (child != nullptr) hoist_packs(*child, 1);
-    }
-  }
-
   void emit_fork(const Stmt& stmt) {
     line() << "{";
     out_ << '\n';
     open();
     const std::string loc = loc_ident(stmt, "parallel");
     out_ << '\n';
-    std::string args;
-    const auto hoisted = hoisted_args_.find(&stmt);
-    if (hoisted != hoisted_args_.end()) {
-      args = hoisted->second;
-    } else {
-      args = fresh("args");
-      line() << "void* " << args << "["
-             << std::max<std::size_t>(1, stmt.captures.size()) << "] = {";
-      for (std::size_t i = 0; i < stmt.captures.size(); ++i) {
-        if (i > 0) out_ << ", ";
-        out_ << "(void*)&" << var_name(stmt.captures[i].symbol);
-      }
-      if (stmt.captures.empty()) out_ << "nullptr";
-      out_ << "};\n";
+    const std::string args = fresh("args");
+    line() << "void* " << args << "["
+           << std::max<std::size_t>(1, stmt.captures.size()) << "] = {";
+    for (std::size_t i = 0; i < stmt.captures.size(); ++i) {
+      if (i > 0) out_ << ", ";
+      out_ << "(void*)&" << var_name(stmt.captures[i].symbol);
     }
+    if (stmt.captures.empty()) out_ << "nullptr";
+    out_ << "};\n";
     if (stmt.num_threads) {
       line() << "zomp_push_num_threads(&" << loc
              << ", (std::int32_t)(" << expr(*stmt.num_threads) << "));";
@@ -1413,9 +1350,6 @@ class Emitter {
   /// Escape label of the innermost enclosing ws-loop emission that contains a
   /// body-level `cancel for`; empty when no such loop is being emitted.
   std::string cancel_for_label_;
-  /// Forks whose capture pack was pre-built outside an enclosing serial loop
-  /// (dce-hoist pass, Stmt::hoist_depth) -> name of the hoisted void* array.
-  std::unordered_map<const Stmt*, std::string> hoisted_args_;
 };
 
 }  // namespace

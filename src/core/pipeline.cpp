@@ -4,6 +4,7 @@
 
 #include "lang/lexer.h"
 #include "lang/parser.h"
+#include "lang/sema.h"
 
 namespace zomp::core {
 
@@ -12,18 +13,22 @@ CompileResult compile_source(std::string source, const CompileOptions& options) 
   result.file = std::make_unique<lang::SourceFile>(options.module_name + ".mz",
                                                    std::move(source));
 
-  PassManager pm;
-  build_default_pipeline(pm, options.opt_level, options.openmp);
   // A name this pipeline never runs would otherwise dump nothing and pass
   // for an empty dump.
-  const std::vector<std::string> passes = pm.pass_names();
+  std::vector<std::string> stages;
+  if (options.openmp) stages.push_back("omp-lower");
+  stages.push_back("sema");
+  auto wanted = [&](const std::string& name) {
+    return std::find(options.dump_ir.begin(), options.dump_ir.end(), name) !=
+           options.dump_ir.end();
+  };
   for (const std::string& name : options.dump_ir) {
     if (name == "all" ||
-        std::find(passes.begin(), passes.end(), name) != passes.end()) {
+        std::find(stages.begin(), stages.end(), name) != stages.end()) {
       continue;
     }
     std::string valid;
-    for (const std::string& pass : passes) valid += pass + ", ";
+    for (const std::string& stage : stages) valid += stage + ", ";
     result.diags.error({}, "--dump-ir: no pass named '" + name +
                                "' in this pipeline (valid: " + valid +
                                "all)");
@@ -38,24 +43,23 @@ CompileResult compile_source(std::string source, const CompileOptions& options) 
   result.module = parser.parse_module(options.module_name);
   if (result.diags.has_errors()) return result;
 
-  const bool dump_all =
-      std::find(options.dump_ir.begin(), options.dump_ir.end(), "all") !=
-      options.dump_ir.end();
-  PassManager::DumpHook hook;
-  if (!options.dump_ir.empty()) {
-    hook = [&](const std::string& pass, const lang::Module& module) {
-      if (dump_all || std::find(options.dump_ir.begin(), options.dump_ir.end(),
-                                pass) != options.dump_ir.end()) {
-        result.ir_dumps.emplace_back(pass, lang::dump_ast(module));
-      }
-    };
+  auto record = [&](const std::string& stage) {
+    if (wanted("all") || wanted(stage)) {
+      result.ir_dumps.emplace_back(stage, lang::dump_ast(*result.module));
+    }
+  };
+  if (options.openmp) {
+    if (!apply_openmp(*result.module, result.diags, &result.stats) ||
+        result.diags.has_errors()) {
+      return result;
+    }
+    record("omp-lower");
   }
-
-  if (!pm.run(*result.module, result.diags, result.pass_stats, hook)) {
-    result.stats = result.pass_stats.transform;
+  if (!lang::analyze(*result.module, result.diags) ||
+      result.diags.has_errors()) {
     return result;
   }
-  result.stats = result.pass_stats.transform;
+  record("sema");
   result.ok = true;
   return result;
 }

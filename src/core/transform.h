@@ -26,23 +26,19 @@
 //   4. The remaining constructs (single/master/critical/atomic/ordered/task)
 //      map to their structured statements.
 //
-// Pipeline position (core/passes.h): this transform is the `omp-lower`
-// pass, the first stage of the PassManager pipeline. It runs before
-// semantic analysis, with names only — the same position and the same
-// type-information limitation the paper describes (§2), resolved the same
-// way (generic/inferred outlined-function parameters). Contract with the
-// downstream passes:
+// Pipeline position (core/pipeline.h): this transform is the `omp-lower`
+// stage, the first after parsing. It runs before semantic analysis, with
+// names only — the same position and the same type-information limitation
+// the paper describes (§2), resolved the same way (generic/inferred
+// outlined-function parameters). Contract with sema and the backends:
 //   * Output is a plain module: outlined functions are ordinary FnDecls
 //     (marked is_outlined) whose parameter lists pair 1:1 with the fork /
-//     task sites' capture lists — the invariant fold's interprocedural
-//     propagation and dce-hoist's capture+parameter removal both rely on.
+//     task sites' capture lists.
 //   * Every loop is normalised to half-open [lo, hi) step 1 (collapse
 //     nests linearized first), so the backends pass step 1 to every
 //     worksharing-loop runtime call.
-//   * The transform itself never folds or marks anything — at -O0
-//     its output goes to the backends exactly as lowered, and every
-//     optimization above it must keep the module re-analyzable (the
-//     `verify` pass re-runs sema after the optimizers).
+//   * Its output goes to the backends exactly as lowered, once sema has
+//     resolved it; nothing folds or rewrites it in between.
 #pragma once
 
 #include "lang/ast.h"

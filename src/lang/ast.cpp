@@ -256,7 +256,6 @@ std::string dump_stmt(const Stmt& stmt, int indent) {
         out << " proc_bind="
             << (stmt.proc_bind <= 4 ? names[stmt.proc_bind] : "?");
       }
-      if (stmt.hoist_depth > 0) out << " hoist@" << stmt.hoist_depth;
       for (const auto& c : stmt.captures) {
         out << " [" << c.name << section_suffix(c.section_len) << ' '
             << capture_mode_name(c.mode);

@@ -278,13 +278,6 @@ struct Stmt {
   /// omp_proc_bind_t value (2 primary, 3 close, 4 spread); -1 when absent.
   /// Kept numeric so lang/ stays free of runtime headers.
   int proc_bind = -1;
-  /// kOmpFork only, set by the optimizer's capture-hoist pass: > 0 means
-  /// every capture's address is invariant across the enclosing serial loop
-  /// nest, so codegen may build the fork's `void*` argument pack once,
-  /// outside the loop at serial-loop nesting depth `hoist_depth - 1`
-  /// (1 = hoist out of the innermost enclosing loop). 0 = no hoist. The
-  /// interpreter ignores the flag (it has no argument pack to reuse).
-  int hoist_depth = 0;
 
   // kOmpTask tasking clauses (see core/directive.h): depend items are
   // lvalue expressions evaluated to addresses at creation time, in the

@@ -43,7 +43,6 @@ StmtPtr clone_stmt(const Stmt& stmt) {
   if (stmt.num_threads) copy->num_threads = clone_expr(*stmt.num_threads);
   if (stmt.if_clause) copy->if_clause = clone_expr(*stmt.if_clause);
   copy->proc_bind = stmt.proc_bind;
-  copy->hoist_depth = stmt.hoist_depth;
   for (const auto& dep : stmt.depends) {
     Stmt::OmpDepend d;
     d.kind = dep.kind;

@@ -20,8 +20,11 @@ using u32 = std::uint32_t;
 using u64 = std::uint64_t;
 
 /// Size used to pad hot shared state so that independently-updated fields do
-/// not false-share. 64 bytes covers x86-64; 128 would cover adjacent-line
-/// prefetching but doubles footprint for little gain at test scale.
+/// not false-share. 64 bytes covers x86-64's line. Its adjacent-line
+/// prefetcher pulls lines in 128-byte pairs, so words that every member
+/// writes or spins on in each barrier (Team::bar_arrived_ and its neighbours)
+/// sit 2 * kCacheLine apart: at one line apart, cg's barrier time moved with
+/// the Team's heap address mod 128.
 inline constexpr std::size_t kCacheLine = 64;
 
 /// Fatal-error reporter (defined in fault.cpp): prints the message plus the

@@ -419,13 +419,16 @@ class Team {
   BindingPlan binding_;
 
   // Task-aware sense barrier (epoch-based so members need no local flag).
-  alignas(kCacheLine) std::atomic<i32> bar_arrived_{0};
-  alignas(kCacheLine) std::atomic<u64> bar_epoch_{0};
+  // The arrival counter every member RMWs and the epoch the waiters spin on
+  // each start a 128-byte pair of lines, so the adjacent-line prefetcher
+  // never couples them, wherever the heap places the Team.
+  alignas(2 * kCacheLine) std::atomic<i32> bar_arrived_{0};
+  alignas(2 * kCacheLine) std::atomic<u64> bar_epoch_{0};
   /// Join-barrier counters: same sense-barrier protocol, separate identity
   /// stream so cancelled members (who skip user barriers) stay in step at
   /// the region end. Shares bar_gate_ — park predicates re-check both.
-  alignas(kCacheLine) std::atomic<i32> join_arrived_{0};
-  alignas(kCacheLine) std::atomic<u64> join_epoch_{0};
+  alignas(2 * kCacheLine) std::atomic<i32> join_arrived_{0};
+  alignas(2 * kCacheLine) std::atomic<u64> join_epoch_{0};
   /// Pending-cancel bitmask (kCancelParallel | kCancelLoop). The loop bit is
   /// cleared by the last arriver of the next completed user barrier (the
   /// cancelled loop's closing barrier — cancellable loops are never nowait);
@@ -462,5 +465,7 @@ class Team {
 
   alignas(kCacheLine) std::atomic<i32> checked_out_{0};
 };
+
+static_assert(alignof(Team) >= 2 * kCacheLine);
 
 }  // namespace zomp::rt

@@ -3,12 +3,13 @@
 // This is the build-time face of the paper's compiler work: it runs the
 // front end (lex/parse), the OpenMP directive engine (outline + runtime-call
 // insertion), sema, and the C++ backend, writing a translation unit that
-// compiles against the zomp runtime.
+// compiles against the zomp runtime. mzc does not optimise: the host C++
+// compiler optimises its output, as LLVM does the paper's lowered Zig.
 //
 // Usage:
 //   mzc INPUT.mz -o OUT.cpp [--header OUT.h] [--safe] [--main]
-//       [--no-omp] [--module NAME] [-O0|-O1] [--dump-ir=PASS]
-//       [--dump-ast] [--dump-stats]
+//       [--no-omp] [--module NAME] [--dump-ir=PASS] [--dump-ast]
+//       [--dump-stats]
 //
 // Flags:
 //   -o FILE        write the generated C++ (required unless a --dump flag)
@@ -17,12 +18,11 @@
 //   --main         emit an `int main()` wrapper around `pub fn main`
 //   --no-omp       ignore //#omp directives (serial build, stock-Zig view)
 //   --module NAME  module/namespace name (default: input basename)
-//   -O0 / -O1      optimizer level (default -O1: fold, dce-hoist — see
-//                  core/passes.h)
-//   --dump-ir=PASS print the module's IR after pass PASS to stdout (one of
-//                  the pipeline pass names, or "all"; repeatable)
+//   --dump-ir=PASS print the module's IR after pass PASS to stdout:
+//                  omp-lower (the directive engine; not with --no-omp),
+//                  sema, or all (repeatable)
 //   --dump-ast     print the transformed AST instead of generating code
-//   --dump-stats   print directive-engine + optimizer statistics to stderr
+//   --dump-stats   print directive-engine statistics to stderr
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,8 +38,8 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s INPUT.mz -o OUT.cpp [--header OUT.h] [--safe] "
-               "[--main] [--no-omp] [--module NAME] [-O0|-O1] "
-               "[--dump-ir=PASS] [--dump-ast] [--dump-stats]\n",
+               "[--main] [--no-omp] [--module NAME] [--dump-ir=PASS] "
+               "[--dump-ast] [--dump-stats]\n",
                argv0);
   return 2;
 }
@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
   bool openmp = true;
   bool dump_ast = false;
   bool dump_stats = false;
-  int opt_level = 1;
   std::vector<std::string> dump_ir;
 
   for (int i = 1; i < argc; ++i) {
@@ -94,10 +93,6 @@ int main(int argc, char** argv) {
       emit_main = true;
     } else if (arg == "--no-omp") {
       openmp = false;
-    } else if (arg == "-O0") {
-      opt_level = 0;
-    } else if (arg == "-O1") {
-      opt_level = 1;
     } else if (arg.rfind("--dump-ir=", 0) == 0) {
       dump_ir.push_back(arg.substr(std::strlen("--dump-ir=")));
     } else if (arg == "--dump-ast") {
@@ -129,7 +124,6 @@ int main(int argc, char** argv) {
   zomp::core::CompileOptions options;
   options.openmp = openmp;
   options.module_name = module_name;
-  options.opt_level = opt_level;
   options.dump_ir = dump_ir;
   auto result = zomp::core::compile_source(source.str(), options);
 
@@ -147,14 +141,6 @@ int main(int argc, char** argv) {
                  "worksharing loops, %d tasks\n",
                  result.stats.directives_seen, result.stats.regions_outlined,
                  result.stats.ws_loops, result.stats.tasks_outlined);
-    if (opt_level >= 1) {
-      std::fprintf(stderr,
-                   "mzc: -O1: %d operands folded, %d dead captures, %d "
-                   "hoisted forks\n",
-                   result.pass_stats.folded_operands,
-                   result.pass_stats.dead_captures,
-                   result.pass_stats.hoisted_forks);
-    }
   }
   if (dump_ast) {
     std::fputs(zomp::lang::dump_ast(*result.module).c_str(), stdout);

@@ -21,7 +21,6 @@
 #include "npb/mandel.h"
 #include "npb/nprandom.h"
 #include "reduce_matrix_mz.h"
-#include "reduce_matrix_mz_o0.h"
 #include "runtime/api.h"
 #include "taskgraph_mz.h"
 
@@ -569,38 +568,30 @@ TEST_P(BackendScheduleSweep, SectionReductionsAgree) {
 
 // firstprivate(a) lastprivate(a) on `parallel for` (reduce_matrix.mz
 // first_last_run): every member's copy starts from the caller's 5, and only
-// the last iteration changes it, so both backends at O0 and O1 must print
-// what the serial loop prints, whatever the schedule and team size.
+// the last iteration changes it, so both backends must print what the serial
+// loop prints, whatever the schedule and team size.
 TEST_P(BackendScheduleSweep, FirstprivateLastprivateAgree) {
   const ScheduleSweepCase& cs = GetParam();
   zomp::set_schedule({cs.kind, cs.chunk});
   constexpr std::int64_t n = 41;
   std::vector<std::int64_t> serial(n, 5);
   serial[n - 1] = 51;  // 5 * 10 + 1, also the returned value
-  for (const int opt_level : {0, 1}) {
-    core::CompileOptions options;
-    options.opt_level = opt_level;
-    auto result =
-        core::compile_source(read_kernel("reduce_matrix.mz"), options);
-    ASSERT_TRUE(result.ok) << result.diagnostics_text();
-    const auto native = opt_level == 0
-                            ? &mzgen_reduce_matrix_mz_o0::first_last_run
-                            : &mzgen_reduce_matrix_mz::first_last_run;
-    for (const int threads : {1, 3, 4}) {
-      zomp::set_num_threads(threads);
-      const std::string where = std::string(cs.clause) + ", O" +
-                                std::to_string(opt_level) + ", " +
-                                std::to_string(threads) + " threads";
-      Interp interp(*result.module);
-      SliceVal out = make_slice_i64(n);
-      const Value a =
-          interp.call_by_name("first_last_run", {Value(n), Value(out)});
-      EXPECT_EQ(a.as_i64(), 51) << "interp, " << where;
-      EXPECT_EQ(from_slice<std::int64_t>(out), serial) << "interp, " << where;
-      std::vector<std::int64_t> nat(n, 0);
-      EXPECT_EQ(native(n, view(nat)), 51) << "native, " << where;
-      EXPECT_EQ(nat, serial) << "native, " << where;
-    }
+  auto result = core::compile_source(read_kernel("reduce_matrix.mz"));
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  for (const int threads : {1, 3, 4}) {
+    zomp::set_num_threads(threads);
+    const std::string where =
+        std::string(cs.clause) + ", " + std::to_string(threads) + " threads";
+    Interp interp(*result.module);
+    SliceVal out = make_slice_i64(n);
+    const Value a =
+        interp.call_by_name("first_last_run", {Value(n), Value(out)});
+    EXPECT_EQ(a.as_i64(), 51) << "interp, " << where;
+    EXPECT_EQ(from_slice<std::int64_t>(out), serial) << "interp, " << where;
+    std::vector<std::int64_t> nat(n, 0);
+    EXPECT_EQ(mzgen_reduce_matrix_mz::first_last_run(n, view(nat)), 51)
+        << "native, " << where;
+    EXPECT_EQ(nat, serial) << "native, " << where;
   }
   zomp::set_schedule({zomp::rt::ScheduleKind::kStatic, 0});
 }

@@ -5,6 +5,8 @@
 
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/pipeline.h"
 
@@ -35,6 +37,86 @@ TEST(PipelineTest, ModuleNameFlowsThrough) {
   auto result = compile_source("fn f() void {}", options);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.module->name, "custom_name");
+}
+
+// Two adjacent regions over constant bounds and a constant team.
+const char* kTwoRegions = R"(
+pub fn sum_two(out: []i64) void {
+  const n: i64 = 1024;
+  var s1: i64 = 0;
+  var s2: i64 = 0;
+  //#omp parallel for reduction(+: s1) num_threads(4)
+  for (0..n) |i| {
+    s1 += i;
+  }
+  //#omp parallel for reduction(+: s2) num_threads(4)
+  for (0..n) |i| {
+    s2 += i * 2;
+  }
+  out[0] = s1;
+  out[1] = s2;
+}
+)";
+
+CompileResult compile_dumping(std::vector<std::string> dump_ir,
+                              bool openmp = true) {
+  CompileOptions options;
+  options.module_name = "pipeline_test";
+  options.openmp = openmp;
+  options.dump_ir = std::move(dump_ir);
+  return compile_source(kTwoRegions, options);
+}
+
+bool contains(const std::string& haystack, const std::string& needle) {
+  return haystack.find(needle) != std::string::npos;
+}
+
+TEST(PipelineTest, DumpIrAllRecordsEveryStageInOrder) {
+  auto omp = compile_dumping({"all"});
+  ASSERT_TRUE(omp.ok) << omp.diagnostics_text();
+  ASSERT_EQ(omp.ir_dumps.size(), 2u);
+  EXPECT_EQ(omp.ir_dumps[0].first, "omp-lower");
+  EXPECT_EQ(omp.ir_dumps[1].first, "sema");
+  EXPECT_TRUE(contains(omp.ir_dumps[0].second, "(omp-fork "))
+      << omp.ir_dumps[0].second;
+
+  // Without the directive engine only sema runs, so only sema dumps.
+  auto serial = compile_dumping({"all"}, /*openmp=*/false);
+  ASSERT_TRUE(serial.ok) << serial.diagnostics_text();
+  ASSERT_EQ(serial.ir_dumps.size(), 1u);
+  EXPECT_EQ(serial.ir_dumps[0].first, "sema");
+  EXPECT_FALSE(contains(serial.ir_dumps[0].second, "(omp-fork "));
+}
+
+TEST(PipelineTest, DumpIrRejectsPassesThePipelineDoesNotRun) {
+  // Neither `bogus` nor `fold` names a stage (mzc has no optimizer passes),
+  // and `omp-lower` does not run without the directive engine. Each would
+  // otherwise dump nothing and look like an empty dump.
+  struct Case {
+    std::string name;
+    bool openmp;
+    std::string valid;
+  };
+  const Case cases[] = {
+      {"bogus", true, "valid: omp-lower, sema, all"},
+      {"fold", true, "valid: omp-lower, sema, all"},
+      {"omp-lower", false, "valid: sema, all"},
+  };
+  for (const Case& c : cases) {
+    auto result = compile_dumping({"sema", c.name}, c.openmp);
+    EXPECT_FALSE(result.ok) << c.name;
+    EXPECT_TRUE(result.ir_dumps.empty()) << "rejected before any stage runs";
+    EXPECT_EQ(result.module, nullptr) << "rejected before parsing";
+    const std::string text = result.diagnostics_text();
+    EXPECT_TRUE(contains(text, "'" + c.name + "'")) << text;
+    EXPECT_TRUE(contains(text, c.valid)) << text;
+  }
+  for (const bool openmp : {true, false}) {
+    auto sema = compile_dumping({"sema"}, openmp);
+    ASSERT_TRUE(sema.ok) << sema.diagnostics_text();
+    ASSERT_EQ(sema.ir_dumps.size(), 1u);
+    EXPECT_EQ(sema.ir_dumps[0].first, "sema");
+  }
 }
 
 TEST(PipelineTest, LexErrorStopsEarly) {

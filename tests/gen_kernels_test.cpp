@@ -57,19 +57,34 @@ TEST(GenEpTest, TranspiledMatchesSerialReference) {
 }
 
 TEST(GenCgTest, TranspiledMatchesSerialReference) {
+  // The dot products are serial inside `single` blocks and every loop is
+  // statically scheduled, so a repeated solve at a fixed team size agrees
+  // bit for bit; 3 threads make a team whose size is not a power of two.
   const zomp::npb::CgClass cls = zomp::npb::cg_class('m');
   zomp::npb::SparseMatrix a = zomp::npb::cg_make_matrix(cls.na, cls.nonzer);
   const zomp::npb::CgResult expect = zomp::npb::cg_serial(a, cls.niter, cls.shift);
 
-  std::vector<double> x(static_cast<std::size_t>(a.n)), z(x), r(x), p(x), q(x);
-  std::vector<double> rnorm(1, 0.0);
-  zomp::set_num_threads(2);
-  const double zeta = mzgen_cg_mz::cg_run(
-      slice_of(a.rowstr), slice_of(a.colidx), slice_of(a.values), slice_of(x),
-      slice_of(z), slice_of(r), slice_of(p), slice_of(q), cls.niter, cls.shift,
-      slice_of(rnorm));
-  EXPECT_NEAR(zeta, expect.zeta, 1e-10);
-  EXPECT_LT(rnorm[0], 1e-8);
+  auto solve = [&](double& rnorm) {
+    std::vector<double> x(static_cast<std::size_t>(a.n)), z(x), r(x), p(x),
+        q(x);
+    std::vector<double> rn(1, 0.0);
+    const double zeta = mzgen_cg_mz::cg_run(
+        slice_of(a.rowstr), slice_of(a.colidx), slice_of(a.values),
+        slice_of(x), slice_of(z), slice_of(r), slice_of(p), slice_of(q),
+        cls.niter, cls.shift, slice_of(rn));
+    rnorm = rn[0];
+    return zeta;
+  };
+  for (const int threads : {1, 2, 3, 4}) {
+    zomp::set_num_threads(threads);
+    double rnorm = 0.0, rnorm_again = 0.0;
+    const double zeta = solve(rnorm);
+    EXPECT_NEAR(zeta, expect.zeta, 1e-10) << threads << " threads";
+    EXPECT_LT(rnorm, 1e-8) << threads << " threads";
+    const double zeta_again = solve(rnorm_again);
+    EXPECT_EQ(zeta_again, zeta) << threads << " threads";
+    EXPECT_EQ(rnorm_again, rnorm) << threads << " threads";
+  }
 }
 
 TEST(GenCgTest, SafeVariantAgrees) {
