@@ -126,10 +126,7 @@ bool subtree_has_cancel_for(const Stmt& stmt) {
 class Emitter {
  public:
   Emitter(const Module& module, const CodegenOptions& options)
-      : module_(module), options_(options) {
-    ns_ = options.namespace_override.empty() ? "mzgen_" + module.name
-                                             : options.namespace_override;
-  }
+      : module_(module), options_(options), ns_("mzgen_" + module.name) {}
 
   std::string emit() {
     out_ << "// Generated by mzc from module '" << module_.name << "'.\n";

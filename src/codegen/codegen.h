@@ -23,8 +23,6 @@ struct CodegenOptions {
   bool safety_checks = false;
   /// Wrap `pub fn main` in a real C++ `int main()`.
   bool emit_main = false;
-  /// Namespace for the generated functions; defaults to "mzgen_<module>".
-  std::string namespace_override;
 };
 
 /// Returns the complete C++ translation unit text. The module must have

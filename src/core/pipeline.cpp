@@ -29,7 +29,7 @@ CompileResult compile_source(std::string source, const CompileOptions& options) 
     }
     std::string valid;
     for (const std::string& stage : stages) valid += stage + ", ";
-    result.diags.error({}, "--dump-ir: no pass named '" + name +
+    result.diags.error(std::nullopt, "--dump-ir: no pass named '" + name +
                                "' in this pipeline (valid: " + valid +
                                "all)");
   }

@@ -1069,7 +1069,6 @@ Interp::Interp(const lang::Module& module, Options options)
   ZOMP_ROUTINES(ZOMP_HOST_FN, ZOMP_HOST_FN, ZOMP_HOST_FN, ZOMP_HOST_FN,
                 ZOMP_HOST_FN)
 #undef ZOMP_HOST_FN
-  register_host_fn("mz_omp_team_stat", host_fn(&mz_omp_team_stat));
 }
 
 void Interp::register_host_fn(const std::string& name, HostFn fn) {

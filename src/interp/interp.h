@@ -44,8 +44,8 @@ class Interp {
   explicit Interp(const lang::Module& module, Options options = Options());
 
   /// Registers a host implementation for an `extern fn`. Every routine-table
-  /// row (runtime/abi.h) and mz_omp_team_stat are pre-registered, bound to
-  /// their native mz_omp_* entry points.
+  /// row (runtime/abi.h) is pre-registered, bound to its native mz_omp_*
+  /// entry point.
   void register_host_fn(const std::string& name, HostFn fn);
 
   /// Runs `pub fn main`. Returns false if the module has no main.

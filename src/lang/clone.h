@@ -1,7 +1,7 @@
-// Deep-clone helpers for AST subtrees. The directive engine clones loop
-// bounds and clause expressions when it splits combined constructs
-// (`parallel for`) and when lowering needs the same expression in two places.
-// Clones carry source locations but no resolution results (sema re-resolves).
+// Deep-clone helper for AST expressions. The directive engine copies a
+// schedule clause's chunk expression from the parsed directive into the
+// worksharing loop it lowers. Clones carry source locations but no
+// resolution results (sema re-resolves).
 #pragma once
 
 #include "lang/ast.h"
@@ -9,6 +9,5 @@
 namespace zomp::lang {
 
 ExprPtr clone_expr(const Expr& expr);
-StmtPtr clone_stmt(const Stmt& stmt);
 
 }  // namespace zomp::lang

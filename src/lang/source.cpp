@@ -20,12 +20,16 @@ std::string Diagnostics::render(const SourceFile& file) const {
     const char* severity = d.severity == Severity::kError     ? "error"
                            : d.severity == Severity::kWarning ? "warning"
                                                               : "note";
-    out << file.name() << ':' << d.loc.line << ':' << d.loc.col << ": "
+    if (!d.loc) {
+      out << severity << ": " << d.message << '\n';
+      continue;
+    }
+    out << file.name() << ':' << d.loc->line << ':' << d.loc->col << ": "
         << severity << ": " << d.message << '\n';
-    const std::string_view line = file.line_text(d.loc);
+    const std::string_view line = file.line_text(*d.loc);
     if (!line.empty()) {
       out << "  " << line << "\n  ";
-      for (std::uint32_t i = 1; i < d.loc.col; ++i) out << ' ';
+      for (std::uint32_t i = 1; i < d.loc->col; ++i) out << ' ';
       out << "^\n";
     }
   }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,7 +44,8 @@ enum class Severity { kError, kWarning, kNote };
 
 struct Diagnostic {
   Severity severity = Severity::kError;
-  SourceLoc loc;
+  /// Empty for a diagnostic about the invocation rather than the source.
+  std::optional<SourceLoc> loc;
   std::string message;
 };
 
@@ -51,7 +53,7 @@ struct Diagnostic {
 /// check has_errors() after each phase.
 class Diagnostics {
  public:
-  void error(SourceLoc loc, std::string message) {
+  void error(std::optional<SourceLoc> loc, std::string message) {
     sink_.push_back({Severity::kError, loc, std::move(message)});
     ++errors_;
   }
@@ -66,7 +68,8 @@ class Diagnostics {
   const std::vector<Diagnostic>& all() const { return sink_; }
 
   /// Renders every diagnostic as "file:line:col: severity: message" with a
-  /// caret line, in emission order.
+  /// caret line, in emission order; one without a location renders as
+  /// "severity: message" alone.
   std::string render(const SourceFile& file) const;
 
  private:

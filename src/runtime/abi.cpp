@@ -409,28 +409,6 @@ ZOMP_ROUTINES(ZOMP_DEFINE_INT, ZOMP_DEFINE_INT_INT, ZOMP_DEFINE_VOID_INT,
 #undef ZOMP_DEFINE_DOUBLE
 #undef ZOMP_DEFINE_VOID
 
-void zomp_team_stats(zomp_team_stats_t* out) {
-  if (out == nullptr) return;
-  const zomp::TeamStats s = zomp::team_stats();
-  out->steal_attempts = s.steal_attempts;
-  out->steal_lost = s.steal_lost;
-  out->tasks_executed = s.tasks_executed;
-  out->dispatch_claims = s.dispatch_claims;
-  out->barrier_episodes = s.barrier_episodes;
-}
-
-std::int64_t mz_omp_team_stat(std::int64_t which) {
-  const zomp::TeamStats s = zomp::team_stats();
-  switch (which) {
-    case 0: return s.steal_attempts;
-    case 1: return s.steal_lost;
-    case 2: return s.tasks_executed;
-    case 3: return s.dispatch_claims;
-    case 4: return s.barrier_episodes;
-    default: return 0;
-  }
-}
-
 void zomp_get_place_proc_ids(std::int32_t place, std::int32_t* ids) {
   zomp::place_proc_ids(place, ids);
 }

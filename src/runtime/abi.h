@@ -365,81 +365,6 @@ ZOMP_ROUTINES(ZOMP_DECLARE_INT, ZOMP_DECLARE_INT_INT, ZOMP_DECLARE_VOID_INT,
 #undef ZOMP_DECLARE_DOUBLE
 #undef ZOMP_DECLARE_VOID
 
-// -- Tool interface (OMPT-style; DESIGN.md S12) ------------------------------
-//
-// A tool registers per-event callbacks that the runtime invokes
-// synchronously on the emitting thread, OMPT-5.2 style but over one uniform
-// callback signature (event id + thread identity + two event-specific i64
-// args, matching the trace-record payload). Disabled-mode cost contract:
-// with no callback installed and ZOMP_TRACE unset, every hook site in the
-// runtime is one relaxed atomic load.
-//
-// Event ids mirror zomp::rt::TraceEv (trace.h) value-for-value; arg0/arg1
-// meanings are documented on the enumerators there.
-enum : std::int32_t {
-  ZOMP_EV_PARALLEL_BEGIN = 0,
-  ZOMP_EV_PARALLEL_END = 1,
-  ZOMP_EV_IMPLICIT_TASK_BEGIN = 2,
-  ZOMP_EV_IMPLICIT_TASK_END = 3,
-  ZOMP_EV_DISPATCH_INIT = 4,
-  ZOMP_EV_DISPATCH_CLAIM = 5,
-  ZOMP_EV_BARRIER_ENTER = 6,
-  ZOMP_EV_BARRIER_WAIT_END = 7,
-  ZOMP_EV_TASK_CREATE = 8,
-  ZOMP_EV_TASK_SCHEDULE = 9,
-  ZOMP_EV_TASK_COMPLETE = 10,
-  ZOMP_EV_STEAL_ATTEMPT = 11,
-  ZOMP_EV_STEAL_SUCCESS = 12,
-  ZOMP_EV_CANCEL = 13,
-  ZOMP_EV_FAULT = 14,
-  ZOMP_EV_COUNT = 15,
-};
-
-/// Callback signature: `gtid` is the process-wide thread id, `tid` the id
-/// within the emitting thread's innermost team. Runs on the emitting thread
-/// with the runtime mid-construct — a tool must not fork, barrier, or
-/// otherwise re-enter constructs from inside a callback (nested emissions
-/// are suppressed, not supported).
-typedef void (*zomp_tool_callback_t)(std::int32_t event, std::int32_t gtid,
-                                     std::int32_t tid, std::int64_t arg0,
-                                     std::int64_t arg1, void* tool_data);
-
-/// Tool initializer passed to zomp_start_tool; a nonzero return keeps the
-/// tool active (the OMPT ompt_start_tool convention).
-typedef std::int32_t (*zomp_tool_initializer_t)(void* tool_data);
-
-/// Registers a tool: stores `tool_data` (delivered to every callback) and
-/// invokes `initializer` immediately — the natural place for its
-/// zomp_set_callback calls. Returns 1 when the tool is active (null
-/// initializer counts as active), 0 when the initializer declined.
-std::int32_t zomp_start_tool(zomp_tool_initializer_t initializer,
-                             void* tool_data);
-
-/// Installs (or, with null, removes) the callback for `event`. Returns 1 on
-/// success, 0 for an out-of-range event. Thread-safe; takes effect for
-/// subsequent emissions (an in-flight emission may still deliver the old
-/// callback).
-std::int32_t zomp_set_callback(std::int32_t event, zomp_tool_callback_t cb);
-
-/// The currently installed callback for `event` (null if none/bad event).
-zomp_tool_callback_t zomp_get_callback(std::int32_t event);
-
-/// zomp::team_stats() twin: the lifetime counters of the caller's innermost
-/// team's member threads, summed. Readable at any point.
-struct zomp_team_stats_t {
-  std::int64_t steal_attempts;
-  std::int64_t steal_lost;
-  std::int64_t tasks_executed;
-  std::int64_t dispatch_claims;
-  std::int64_t barrier_episodes;
-};
-void zomp_team_stats(zomp_team_stats_t* out);
-
-/// zomp_team_stats flattened to MiniZig's scalar-only FFI: `which` selects
-/// the field in declaration order (0 steal_attempts .. 4 barrier_episodes);
-/// out-of-range answers 0.
-std::int64_t mz_omp_team_stat(std::int64_t which);
-
 // The two list-valued affinity queries (DESIGN.md S1.8): each copies into a
 // caller buffer sized by its count row in the table above.
 void zomp_get_place_proc_ids(std::int32_t place, std::int32_t* ids);

@@ -191,22 +191,4 @@ double wtick() {
   return static_cast<double>(period::num) / static_cast<double>(period::den);
 }
 
-TeamStats team_stats() {
-  rt::Team& team = *current_thread().team;
-  const auto sum = [&team](rt::Metric m) {
-    rt::u64 total = 0;
-    for (rt::i32 t = 0; t < team.size(); ++t) {
-      total += team.member(t).counters->value(m);
-    }
-    return static_cast<rt::i64>(total);
-  };
-  TeamStats out;
-  out.steal_attempts = sum(rt::Metric::kStealAttempts);
-  out.steal_lost = sum(rt::Metric::kStealLost);
-  out.tasks_executed = sum(rt::Metric::kTasksExecuted);
-  out.dispatch_claims = sum(rt::Metric::kDispatchClaims);
-  out.barrier_episodes = sum(rt::Metric::kBarrierEpisodes);
-  return out;
-}
-
 }  // namespace zomp

@@ -125,18 +125,4 @@ double wtime();
 /// Timer resolution in seconds (omp_get_wtick).
 double wtick();
 
-/// Scheduling counters of the innermost team's members (DESIGN.md S12):
-/// each member thread's lifetime counts, summed over the current members,
-/// so they include the members' work in earlier regions and other teams.
-/// Take deltas to measure one region. Safe to call from any point, also
-/// while siblings run: each counter reads as some recent value.
-struct TeamStats {
-  rt::i64 steal_attempts = 0;
-  rt::i64 steal_lost = 0;
-  rt::i64 tasks_executed = 0;
-  rt::i64 dispatch_claims = 0;
-  rt::i64 barrier_episodes = 0;
-};
-TeamStats team_stats();
-
 }  // namespace zomp

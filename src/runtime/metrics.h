@@ -6,9 +6,9 @@
 // RMW, no shared line), the single-writer discipline of the trace rings.
 // Blocks are allocated from a heap-leaked registry and never freed, so a
 // thread's counts outlive it. Readers sum blocks with relaxed loads at any
-// time: metrics_value / metrics_report over every block, zomp::team_stats
-// over a team's members. A read racing a writer sees each counter at some
-// recent value; it never tears and never blocks the writer.
+// time: metrics_value / metrics_report over every block, the one read path.
+// A read racing a writer sees each counter at some recent value; it never
+// tears and never blocks the writer.
 //
 // ZOMP_METRICS=true adds only the two steady-clock reads around each barrier
 // episode (kBarrierWaitNs) and prints a libomp-fenced report (the

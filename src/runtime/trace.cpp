@@ -1,9 +1,8 @@
-// Tool-callback dispatch + per-thread trace rings (DESIGN.md S12).
+// Per-thread trace rings (DESIGN.md S12).
 //
 // Everything mutable here lives in a heap-leaked magic static (the fault.cpp
-// pattern): rings and the callback table must outlive static destructors so
-// the atexit flush — and any tool still installed — can run after the pool's
-// own teardown has joined the workers.
+// pattern): the rings must outlive static destructors so the atexit flush
+// can run after the pool's own teardown has joined the workers.
 
 #include "runtime/trace.h"
 
@@ -20,22 +19,19 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/abi.h"
 #include "runtime/env.h"
 #include "runtime/team.h"
 
 namespace zomp::rt {
 namespace trace_detail {
 
-std::atomic<u32> g_active{0};
+std::atomic<bool> g_ring_on{false};
 
 }  // namespace trace_detail
 
 namespace {
 
-using trace_detail::g_active;
-using trace_detail::kActiveCallbacks;
-using trace_detail::kActiveRing;
+using trace_detail::g_ring_on;
 
 /// 64Ki records/thread (~2.5 MiB at 8 threads) rides out a class-S NPB run
 /// without drops; overflow is counted, not wrapped, so the serialized trace
@@ -94,18 +90,13 @@ struct TraceRing {
 };
 
 struct TraceState {
-  /// Guards ring registration, the callback table, path/capacity config,
-  /// and g_active recomputation. Never taken on the emit path once a thread
-  /// owns its ring.
+  /// Guards ring registration, path/capacity config and g_ring_on. Never
+  /// taken on the emit path once a thread owns its ring.
   std::mutex mu;
   std::vector<std::unique_ptr<TraceRing>> rings;
   i64 ring_capacity = kDefaultRingCapacity;
   std::string path;
   bool atexit_registered = false;
-
-  std::atomic<zomp_tool_callback_t> callbacks[static_cast<i32>(
-      TraceEv::kCount)] = {};
-  std::atomic<void*> tool_data{nullptr};
 
   /// Calibration anchor, taken once at first use: raw clock and
   /// steady_clock sampled back to back. A second pair at serialize time
@@ -139,18 +130,6 @@ TraceRing* register_ring(i32 gtid) {
   return tls_ring;
 }
 
-/// Recompute g_active's callback bit from the table. Caller holds s.mu.
-void refresh_active_locked(TraceState& s, bool ring_on) {
-  u32 active = ring_on ? kActiveRing : 0u;
-  for (const auto& cb : s.callbacks) {
-    if (cb.load(std::memory_order_relaxed) != nullptr) {
-      active |= kActiveCallbacks;
-      break;
-    }
-  }
-  g_active.store(active, std::memory_order_release);
-}
-
 void atexit_flush() { (void)zomp::trace_flush(); }
 
 /// Chrome trace-event rendering per TraceEv: duration pairs ('B'/'E') for
@@ -181,39 +160,17 @@ const EvDesc& ev_desc(i32 ev) {
 namespace trace_detail {
 
 void emit_slow(TraceEv ev, i64 arg0, i64 arg1) noexcept {
-  // A tool callback may call back into the runtime; suppress the nested
-  // emissions so a naive tool cannot recurse the hook sites.
-  static thread_local bool in_emit = false;
-  if (in_emit) return;
-  in_emit = true;
-
-  const u32 active = g_active.load(std::memory_order_acquire);
-  ThreadState& ts = current_thread();
-
-  if ((active & kActiveRing) != 0) {
-    TraceRing* ring = tls_ring;
-    if (ring == nullptr) ring = register_ring(ts.gtid);
-    TraceRecord rec;
-    rec.stamp = trace_clock_raw();
-    rec.arg0 = arg0;
-    rec.arg1 = arg1;
-    rec.ev = static_cast<i32>(ev);
-    rec.tid = ts.tid;
-    rec.place = ts.place_num;
-    ring->append(rec);
-  }
-
-  if ((active & kActiveCallbacks) != 0) {
-    TraceState& s = state();
-    zomp_tool_callback_t cb =
-        s.callbacks[static_cast<i32>(ev)].load(std::memory_order_acquire);
-    if (cb != nullptr) {
-      cb(static_cast<i32>(ev), ts.gtid, ts.tid, arg0, arg1,
-         s.tool_data.load(std::memory_order_relaxed));
-    }
-  }
-
-  in_emit = false;
+  const ThreadState& ts = current_thread();
+  TraceRing* ring = tls_ring;
+  if (ring == nullptr) ring = register_ring(ts.gtid);
+  TraceRecord rec;
+  rec.stamp = trace_clock_raw();
+  rec.arg0 = arg0;
+  rec.arg1 = arg1;
+  rec.ev = static_cast<i32>(ev);
+  rec.tid = ts.tid;
+  rec.place = ts.place_num;
+  ring->append(rec);
 }
 
 }  // namespace trace_detail
@@ -232,7 +189,7 @@ void trace_init_from_env() {
     s.atexit_registered = true;
     std::atexit(atexit_flush);
   }
-  refresh_active_locked(s, /*ring_on=*/true);
+  g_ring_on.store(true, std::memory_order_relaxed);
 }
 
 std::string trace_serialize_json() {
@@ -355,7 +312,7 @@ u64 trace_dropped_total() {
 void trace_enable_ring_for_test() {
   TraceState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
-  refresh_active_locked(s, /*ring_on=*/true);
+  g_ring_on.store(true, std::memory_order_relaxed);
 }
 
 void trace_set_ring_capacity_for_test(i64 records) {
@@ -374,50 +331,10 @@ void trace_reset_for_test() {
   }
   s.ring_capacity = kDefaultRingCapacity;
   s.path.clear();
-  refresh_active_locked(s, /*ring_on=*/false);
+  g_ring_on.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace zomp::rt
-
-// ---------------------------------------------------------------------------
-// Tool ABI (abi.h): callback registration + the ring flush entry point.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-using zomp::rt::TraceEv;
-
-bool valid_event(std::int32_t event) {
-  return event >= 0 && event < static_cast<std::int32_t>(TraceEv::kCount);
-}
-
-}  // namespace
-
-// These definitions live here (not abi.cpp) because they share TraceState
-// with the emit path; abi.h carries the extern "C" declarations and the
-// contract, and the definitions inherit that linkage.
-std::int32_t zomp_start_tool(zomp_tool_initializer_t initializer,
-                             void* tool_data) {
-  zomp::rt::state().tool_data.store(tool_data, std::memory_order_relaxed);
-  if (initializer == nullptr) return 1;
-  return initializer(tool_data) != 0 ? 1 : 0;
-}
-
-std::int32_t zomp_set_callback(std::int32_t event, zomp_tool_callback_t cb) {
-  if (!valid_event(event)) return 0;
-  zomp::rt::TraceState& s = zomp::rt::state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.callbacks[event].store(cb, std::memory_order_release);
-  zomp::rt::refresh_active_locked(
-      s, (zomp::rt::trace_detail::g_active.load(std::memory_order_relaxed) &
-          zomp::rt::trace_detail::kActiveRing) != 0);
-  return 1;
-}
-
-zomp_tool_callback_t zomp_get_callback(std::int32_t event) {
-  if (!valid_event(event)) return nullptr;
-  return zomp::rt::state().callbacks[event].load(std::memory_order_acquire);
-}
 
 namespace zomp {
 

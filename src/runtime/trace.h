@@ -1,26 +1,22 @@
-// OMPT-style tool interface + per-thread trace event rings (DESIGN.md S12).
+// Per-thread trace event rings (DESIGN.md S12).
 //
-// Two consumers share one set of hook sites threaded through the runtime
-// (pool/team/worksharing/task/fault):
+// Hook sites threaded through the runtime (pool/team/worksharing/task/fault)
+// call trace_emit. With ZOMP_TRACE=<file> set, every emitting thread appends
+// to its own fixed-capacity ring of TSC-stamped records, serialized to Chrome
+// trace-event JSON (chrome://tracing / Perfetto) at process exit or
+// zomp::trace_flush().
 //
-//   * A tool registered through the zomp_start_tool / zomp_set_callback C ABI
-//     (abi.h) receives events synchronously, OMPT-5.2 style.
-//   * With ZOMP_TRACE=<file> set, every emitting thread appends to its own
-//     fixed-capacity ring of TSC-stamped records, serialized to Chrome
-//     trace-event JSON (chrome://tracing / Perfetto) at process exit or
-//     zomp::trace_flush().
-//
-// Disabled-mode cost contract (same as PR 8's cancellation points): a hook
-// site is ONE relaxed atomic load when neither consumer is active. The slow
-// path — ring append and/or callback dispatch — is out of line.
+// Disabled-mode cost contract (the one S10's cancellation points keep): a hook
+// site is ONE relaxed atomic load and a branch when the rings are off. The
+// ring append is out of line.
 //
 // Ring discipline (single writer, like the Counters blocks in metrics.h):
 // each ring has exactly one writer (the owning thread), which stores records
 // with plain writes and publishes them with a release store of the count;
-// drains acquire the count and read only the published prefix. Records are never overwritten — a full
-// ring counts drops instead (deterministic: the FIRST kRingCapacity events
-// survive) — so a concurrent drain is race-free even mid-region; it merely
-// misses records still in flight.
+// drains acquire the count and read only the published prefix. Records are
+// never overwritten — a full ring counts drops instead (deterministic: the
+// FIRST `capacity` events survive) — so a concurrent drain is race-free even
+// mid-region; it merely misses records still in flight.
 #pragma once
 
 #include <atomic>
@@ -30,8 +26,7 @@
 
 namespace zomp::rt {
 
-/// Event ids. Values are the stable tool-ABI numbers (abi.h ZOMP_EV_*);
-/// kCount bounds the callback table.
+/// Event ids, one per hook site kind; kCount bounds the rendering table.
 enum class TraceEv : i32 {
   kParallelBegin = 0,      ///< master, before any member runs; arg0 = size
   kParallelEnd = 1,        ///< master, after every member checked out
@@ -59,29 +54,26 @@ enum : i64 {
 
 namespace trace_detail {
 
-/// Consumer bitmask: bit 0 = ring recording, bit 1 = tool callbacks. Zero —
-/// the overwhelmingly common state — short-circuits every hook site.
-inline constexpr u32 kActiveRing = 1u;
-inline constexpr u32 kActiveCallbacks = 2u;
-extern std::atomic<u32> g_active;
+/// True while ring recording is on. False — the overwhelmingly common
+/// state — short-circuits every hook site.
+extern std::atomic<bool> g_ring_on;
 
 void emit_slow(TraceEv ev, i64 arg0, i64 arg1) noexcept;
 
 }  // namespace trace_detail
 
-/// The hook. Disabled mode is exactly this relaxed load + a predicted
-/// branch; everything else lives in emit_slow (trace.cpp).
-inline void trace_emit(TraceEv ev, i64 arg0 = 0, i64 arg1 = 0) noexcept {
-  if (trace_detail::g_active.load(std::memory_order_relaxed) == 0) return;
-  trace_detail::emit_slow(ev, arg0, arg1);
-}
-
 /// True when ring recording is on (ZOMP_TRACE set, or enabled for tests).
 /// Hook sites never need this — trace_emit self-gates — but instrumentation
 /// that must pre-compute event arguments can use it to skip the setup.
 inline bool trace_ring_enabled() noexcept {
-  return (trace_detail::g_active.load(std::memory_order_relaxed) &
-          trace_detail::kActiveRing) != 0;
+  return trace_detail::g_ring_on.load(std::memory_order_relaxed);
+}
+
+/// The hook. Disabled mode is exactly this relaxed load + a predicted
+/// branch; the ring append lives in emit_slow (trace.cpp).
+inline void trace_emit(TraceEv ev, i64 arg0 = 0, i64 arg1 = 0) noexcept {
+  if (!trace_ring_enabled()) return;
+  trace_detail::emit_slow(ev, arg0, arg1);
 }
 
 /// Parses ZOMP_TRACE from the environment and arms the subsystem: a
@@ -113,8 +105,8 @@ u64 trace_dropped_total();
 /// Test hooks. enable_ring_for_test arms ring recording without a file;
 /// set_ring_capacity_for_test bounds NEW rings (existing rings keep their
 /// capacity — spawn a fresh thread to get a small one); reset_for_test
-/// empties every ring, restores the default capacity, and disarms the ring
-/// bit (callbacks are untouched). Reset requires emitting threads to be
+/// empties every ring, restores the default capacity, and disarms ring
+/// recording. Reset requires emitting threads to be
 /// quiescent, which a test that just joined its regions satisfies.
 void trace_enable_ring_for_test();
 void trace_set_ring_capacity_for_test(i64 records);

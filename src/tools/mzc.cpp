@@ -8,11 +8,10 @@
 //
 // Usage:
 //   mzc INPUT.mz -o OUT.cpp [--header OUT.h] [--safe] [--main]
-//       [--no-omp] [--module NAME] [--dump-ir=PASS] [--dump-ast]
-//       [--dump-stats]
+//       [--no-omp] [--module NAME] [--dump-ir=PASS] [--dump-stats]
 //
 // Flags:
-//   -o FILE        write the generated C++ (required unless a --dump flag)
+//   -o FILE        write the generated C++ (required unless --dump-ir)
 //   --header FILE  also write a header with the module's pub declarations
 //   --safe         bounds-checked slices (Zig ReleaseSafe analogue)
 //   --main         emit an `int main()` wrapper around `pub fn main`
@@ -21,7 +20,6 @@
 //   --dump-ir=PASS print the module's IR after pass PASS to stdout:
 //                  omp-lower (the directive engine; not with --no-omp),
 //                  sema, or all (repeatable)
-//   --dump-ast     print the transformed AST instead of generating code
 //   --dump-stats   print directive-engine statistics to stderr
 #include <cstdio>
 #include <cstring>
@@ -39,7 +37,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s INPUT.mz -o OUT.cpp [--header OUT.h] [--safe] "
                "[--main] [--no-omp] [--module NAME] [--dump-ir=PASS] "
-               "[--dump-ast] [--dump-stats]\n",
+               "[--dump-stats]\n",
                argv0);
   return 2;
 }
@@ -75,7 +73,6 @@ int main(int argc, char** argv) {
   bool safe = false;
   bool emit_main = false;
   bool openmp = true;
-  bool dump_ast = false;
   bool dump_stats = false;
   std::vector<std::string> dump_ir;
 
@@ -95,8 +92,6 @@ int main(int argc, char** argv) {
       openmp = false;
     } else if (arg.rfind("--dump-ir=", 0) == 0) {
       dump_ir.push_back(arg.substr(std::strlen("--dump-ir=")));
-    } else if (arg == "--dump-ast") {
-      dump_ast = true;
     } else if (arg == "--dump-stats") {
       dump_stats = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -108,7 +103,7 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (input.empty() || (output.empty() && !dump_ast && dump_ir.empty())) {
+  if (input.empty() || (output.empty() && dump_ir.empty())) {
     return usage(argv[0]);
   }
   if (module_name.empty()) module_name = basename_no_ext(input);
@@ -141,9 +136,6 @@ int main(int argc, char** argv) {
                  "worksharing loops, %d tasks\n",
                  result.stats.directives_seen, result.stats.regions_outlined,
                  result.stats.ws_loops, result.stats.tasks_outlined);
-  }
-  if (dump_ast) {
-    std::fputs(zomp::lang::dump_ast(*result.module).c_str(), stdout);
   }
   if (output.empty()) return 0;
 

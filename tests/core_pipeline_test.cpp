@@ -110,6 +110,10 @@ TEST(PipelineTest, DumpIrRejectsPassesThePipelineDoesNotRun) {
     const std::string text = result.diagnostics_text();
     EXPECT_TRUE(contains(text, "'" + c.name + "'")) << text;
     EXPECT_TRUE(contains(text, c.valid)) << text;
+    // A command-line mistake has no place in the source: no line:col, no
+    // quoted source line, no caret.
+    EXPECT_FALSE(contains(text, ":1:1:")) << text;
+    EXPECT_FALSE(contains(text, "^")) << text;
   }
   for (const bool openmp : {true, false}) {
     auto sema = compile_dumping({"sema"}, openmp);

@@ -82,42 +82,6 @@ TEST(CloneTest, ExpressionDeepCopyIsIndependent) {
   EXPECT_NE(dump_expr(*copy), dump_expr(*ret.expr));
 }
 
-TEST(CloneTest, StatementDeepCopyCoversControlFlow) {
-  auto module = parse(R"(
-fn f(n: i64) i64 {
-  var s: i64 = 0;
-  for (0..n) |i| {
-    if (i > 2) {
-      s += i;
-    } else {
-      s -= 1;
-    }
-  }
-  while (s > 100) : (s -= 10) {
-    s -= 1;
-  }
-  return s;
-}
-)");
-  const Stmt& body = *module->functions[0]->body;
-  StmtPtr copy = clone_stmt(body);
-  EXPECT_EQ(dump_stmt(*copy), dump_stmt(body));
-}
-
-TEST(CloneTest, PendingDirectivesAreCopied) {
-  auto module = parse(R"(
-fn f(n: i64) void {
-  //#omp parallel for schedule(static, 2)
-  for (0..n) |i| {
-  }
-}
-)");
-  const Stmt& loop = *module->functions[0]->body->stmts[0];
-  StmtPtr copy = clone_stmt(loop);
-  ASSERT_EQ(copy->pending_directives.size(), 1u);
-  EXPECT_EQ(copy->pending_directives[0].first, " parallel for schedule(static, 2)");
-}
-
 TEST(DumpTest, StableShapeForGoldenTests) {
   auto module = parse("fn f(a: i64, x: []f64) f64 { return x[a]; }");
   const std::string out = dump_ast(*module);

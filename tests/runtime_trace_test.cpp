@@ -1,18 +1,17 @@
-// S12 observability tests: the OMPT-style tool callback interface, the
-// per-thread trace rings + Chrome-JSON serialization, the per-thread
-// counters and metrics report, and the team_stats surfaces (C++, C ABI,
-// MiniZig host fn).
+// S12 observability tests: the per-thread trace rings + Chrome-JSON
+// serialization (hook placement included, for both backends), the
+// per-thread counters and metrics report, and the MiniZig host fns that
+// reach them.
 //
-// Global-state hygiene: every fixture resets the tracer state it touches,
-// counter tests read deltas, and callback tests unregister every event in
-// TearDown, so suites compose in one binary regardless of order.
+// Global-state hygiene: every ring fixture resets the tracer state and
+// counter tests read deltas, so suites compose in one binary regardless of
+// order.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,7 +22,6 @@
 #include "core/pipeline.h"
 #include "interp/interp.h"
 #include "npb/cg.h"
-#include "runtime/abi.h"
 #include "runtime/api.h"
 #include "runtime/hl.h"
 #include "runtime/metrics.h"
@@ -101,6 +99,31 @@ void expect_paired(const std::vector<JsonEv>& events,
   }
 }
 
+int count_events(const std::vector<JsonEv>& events, const std::string& name,
+                 char ph) {
+  int n = 0;
+  for (const JsonEv& ev : events) n += ev.name == name && ev.ph == ph ? 1 : 0;
+  return n;
+}
+
+/// The hook counts every 4-member region shows: one fork on the master,
+/// every member an implicit task, and each barrier episode closed.
+void expect_region_of_four(const std::vector<JsonEv>& events) {
+  EXPECT_EQ(count_events(events, "parallel", 'B'), 1);
+  EXPECT_EQ(count_events(events, "parallel", 'E'), 1);
+  EXPECT_EQ(count_events(events, "implicit task", 'B'), 4);
+  EXPECT_EQ(count_events(events, "implicit task", 'E'), 4);
+  // Dynamic claims batch a varying number of chunks per fetch_add, so the
+  // claim count depends on timing; at least one claim must appear.
+  EXPECT_GE(count_events(events, "chunk claim", 'i'), 1);
+  EXPECT_GE(count_events(events, "barrier", 'B'), 4);
+  EXPECT_EQ(count_events(events, "barrier", 'B'),
+            count_events(events, "barrier", 'E'));
+  for (const char* name : {"parallel", "implicit task", "barrier", "task"}) {
+    expect_paired(events, name);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Ring recording + Chrome JSON
 // ---------------------------------------------------------------------------
@@ -137,7 +160,7 @@ TEST_F(TraceRingTest, SerializedJsonHasSchemaAndPairing) {
   const std::vector<JsonEv> events = parse_trace_events(json);
   ASSERT_FALSE(events.empty());
   std::set<int> implicit_tids;
-  int parallel_b = 0, dispatch_claims = 0, task_b = 0, barrier_b = 0;
+  int master_gtid = -1;
   for (const JsonEv& ev : events) {
     // Schema: every record carries name/ph/pid/tid; non-metadata records
     // carry a non-negative timestamp.
@@ -151,21 +174,57 @@ TEST_F(TraceRingTest, SerializedJsonHasSchemaAndPairing) {
       EXPECT_GE(ev.ts, 0.0) << ev.name;
     }
     if (ev.name == "implicit task" && ev.ph == 'B') implicit_tids.insert(ev.tid);
-    if (ev.name == "parallel" && ev.ph == 'B') ++parallel_b;
-    if (ev.name == "chunk claim") ++dispatch_claims;
-    if (ev.name == "task" && ev.ph == 'B') ++task_b;
-    if (ev.name == "barrier" && ev.ph == 'B') ++barrier_b;
+    if (ev.name == "parallel" && ev.ph == 'B') master_gtid = ev.tid;
   }
-  EXPECT_EQ(parallel_b, 1);
   EXPECT_EQ(implicit_tids.size(), 4u) << "every member an implicit task";
-  // Dynamic claims batch a varying number of chunks per fetch_add, so the
-  // claim count depends on timing; at least one claim must appear.
-  EXPECT_GE(dispatch_claims, 1);
-  EXPECT_EQ(task_b, 8);
-  EXPECT_GE(barrier_b, 4);
-  for (const char* name : {"parallel", "implicit task", "barrier", "task"}) {
-    expect_paired(events, name);
+  expect_region_of_four(events);
+  EXPECT_EQ(count_events(events, "dispatch init", 'i'), 4) << "one per member";
+  EXPECT_EQ(count_events(events, "task create", 'i'), 8);
+  EXPECT_EQ(count_events(events, "task", 'B'), 8);
+  EXPECT_EQ(count_events(events, "task", 'E'), 8);
+
+  // The fork brackets the master's lane: its members check out before the
+  // master records parallel-end, so nothing of the region follows it.
+  std::vector<const JsonEv*> master_lane;
+  for (const JsonEv& ev : events) {
+    if (ev.ph != 'M' && ev.tid == master_gtid) master_lane.push_back(&ev);
   }
+  ASSERT_FALSE(master_lane.empty());
+  EXPECT_EQ(master_lane.front()->name, "parallel");
+  EXPECT_EQ(master_lane.front()->ph, 'B');
+  EXPECT_EQ(master_lane.back()->name, "parallel");
+  EXPECT_EQ(master_lane.back()->ph, 'E');
+}
+
+TEST_F(TraceRingTest, InterpBackendRecordsTheSameEventClasses) {
+  // The other backend: the same runtime hooks fire when a MiniZig program
+  // executes on the interpreter's real threads.
+  rt::trace_enable_ring_for_test();
+  const std::string source = R"(
+pub fn main() void {
+  var sum: i64 = 0;
+  //#omp parallel num_threads(4)
+  {
+    //#omp for reduction(+: sum) schedule(dynamic, 4)
+    for (0..64) |i| {
+      sum = sum + i;
+    }
+  }
+  @print(sum);
+}
+)";
+  core::CompileOptions options;
+  options.openmp = true;
+  auto result = core::compile_source(source, options);
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  std::ostringstream out;
+  interp::InterpOptions iopts;
+  iopts.out = &out;
+  interp::Interp interp(*result.module, iopts);
+  ASSERT_TRUE(interp.run_main());
+  EXPECT_EQ(out.str(), "2016\n");
+
+  expect_region_of_four(parse_trace_events(rt::trace_serialize_json()));
 }
 
 TEST_F(TraceRingTest, NpbCgClassSTraceIsWellFormedOnEveryMember) {
@@ -274,165 +333,6 @@ TEST_F(TraceRingTest, WriteJsonRoundTripsThroughAFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Tool callback interface (zomp_start_tool / zomp_set_callback)
-// ---------------------------------------------------------------------------
-
-/// Event collector shared by the registered callbacks. A leaf mutex: the
-/// callbacks run synchronously on emitting threads, and nothing is locked
-/// while it is held.
-struct Collector {
-  std::mutex mu;
-  std::vector<std::pair<std::int32_t, std::int32_t>> events;  // (event, gtid)
-
-  void record(std::int32_t event, std::int32_t gtid) {
-    std::lock_guard<std::mutex> lock(mu);
-    events.emplace_back(event, gtid);
-  }
-  std::vector<std::pair<std::int32_t, std::int32_t>> snapshot() {
-    std::lock_guard<std::mutex> lock(mu);
-    return events;
-  }
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu);
-    events.clear();
-  }
-  int count(std::int32_t event) {
-    std::lock_guard<std::mutex> lock(mu);
-    int n = 0;
-    for (const auto& [ev, gtid] : events) n += ev == event ? 1 : 0;
-    return n;
-  }
-};
-
-Collector& collector() {
-  static Collector c;
-  return c;
-}
-
-void collecting_callback(std::int32_t event, std::int32_t gtid,
-                         std::int32_t /*tid*/, std::int64_t /*arg0*/,
-                         std::int64_t /*arg1*/, void* /*tool_data*/) {
-  collector().record(event, gtid);
-}
-
-class ToolCallbackTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    collector().clear();
-    for (std::int32_t ev = 0; ev < ZOMP_EV_COUNT; ++ev) {
-      ASSERT_EQ(zomp_set_callback(ev, &collecting_callback), 1);
-    }
-  }
-  void TearDown() override {
-    for (std::int32_t ev = 0; ev < ZOMP_EV_COUNT; ++ev) {
-      zomp_set_callback(ev, nullptr);
-    }
-    collector().clear();
-  }
-};
-
-TEST_F(ToolCallbackTest, RegistrationRoundTripsAndRejectsBadEvents) {
-  EXPECT_EQ(zomp_get_callback(ZOMP_EV_PARALLEL_BEGIN), &collecting_callback);
-  EXPECT_EQ(zomp_set_callback(-1, &collecting_callback), 0);
-  EXPECT_EQ(zomp_set_callback(ZOMP_EV_COUNT, &collecting_callback), 0);
-  EXPECT_EQ(zomp_get_callback(-1), nullptr);
-  EXPECT_EQ(zomp_get_callback(ZOMP_EV_COUNT), nullptr);
-}
-
-TEST_F(ToolCallbackTest, StartToolRunsInitializerAndDeliversToolData) {
-  static std::atomic<void*> seen_data{nullptr};
-  static int dummy = 0;
-  auto init = [](void* data) -> std::int32_t {
-    seen_data.store(data, std::memory_order_relaxed);
-    return 1;
-  };
-  EXPECT_EQ(zomp_start_tool(init, &dummy), 1);
-  EXPECT_EQ(seen_data.load(std::memory_order_relaxed), &dummy);
-
-  // The registered tool_data rides into every callback.
-  static std::atomic<void*> cb_data{nullptr};
-  zomp_set_callback(ZOMP_EV_PARALLEL_BEGIN,
-                    [](std::int32_t, std::int32_t, std::int32_t, std::int64_t,
-                       std::int64_t, void* tool_data) {
-                      cb_data.store(tool_data, std::memory_order_relaxed);
-                    });
-  parallel([] {}, ParallelOptions{2, true});
-  EXPECT_EQ(cb_data.load(std::memory_order_relaxed), &dummy);
-  // A refused initializer reports failure but leaves callbacks alone.
-  EXPECT_EQ(zomp_start_tool([](void*) -> std::int32_t { return 0; }, nullptr),
-            0);
-}
-
-TEST_F(ToolCallbackTest, CppRegionDeliversTheFullEventSequence) {
-  parallel(
-      [] {
-        for_each(0, 64, [](rt::i64) {},
-                 ForOptions{{rt::ScheduleKind::kDynamic, 4}, false});
-        single([] {
-          for (int i = 0; i < 6; ++i) task([] {});
-        });
-        barrier();
-      },
-      ParallelOptions{4, true});
-
-  const auto events = collector().snapshot();
-  ASSERT_FALSE(events.empty());
-  // The fork brackets everything: first event is parallel-begin, last is
-  // parallel-end (both emitted by the master).
-  EXPECT_EQ(events.front().first, ZOMP_EV_PARALLEL_BEGIN);
-  EXPECT_EQ(events.back().first, ZOMP_EV_PARALLEL_END);
-  EXPECT_EQ(collector().count(ZOMP_EV_PARALLEL_BEGIN), 1);
-  EXPECT_EQ(collector().count(ZOMP_EV_PARALLEL_END), 1);
-  EXPECT_EQ(collector().count(ZOMP_EV_IMPLICIT_TASK_BEGIN), 4);
-  EXPECT_EQ(collector().count(ZOMP_EV_IMPLICIT_TASK_END), 4);
-  EXPECT_EQ(collector().count(ZOMP_EV_DISPATCH_INIT), 4);
-  EXPECT_GE(collector().count(ZOMP_EV_DISPATCH_CLAIM), 1);
-  EXPECT_EQ(collector().count(ZOMP_EV_TASK_CREATE), 6);
-  EXPECT_EQ(collector().count(ZOMP_EV_TASK_SCHEDULE), 6);
-  EXPECT_EQ(collector().count(ZOMP_EV_TASK_COMPLETE), 6);
-  EXPECT_GE(collector().count(ZOMP_EV_BARRIER_ENTER), 4);
-  EXPECT_EQ(collector().count(ZOMP_EV_BARRIER_ENTER),
-            collector().count(ZOMP_EV_BARRIER_WAIT_END));
-}
-
-TEST_F(ToolCallbackTest, InterpBackendDeliversTheSameEventClasses) {
-  // The other backend: the same runtime hooks fire when a MiniZig program
-  // executes on the interpreter's real threads.
-  const std::string source = R"(
-pub fn main() void {
-  var sum: i64 = 0;
-  //#omp parallel num_threads(4)
-  {
-    //#omp for reduction(+: sum) schedule(dynamic, 4)
-    for (0..64) |i| {
-      sum = sum + i;
-    }
-  }
-  @print(sum);
-}
-)";
-  core::CompileOptions options;
-  options.openmp = true;
-  auto result = core::compile_source(source, options);
-  ASSERT_TRUE(result.ok) << result.diagnostics_text();
-  std::ostringstream out;
-  interp::InterpOptions iopts;
-  iopts.out = &out;
-  interp::Interp interp(*result.module, iopts);
-  ASSERT_TRUE(interp.run_main());
-  EXPECT_EQ(out.str(), "2016\n");
-
-  EXPECT_EQ(collector().count(ZOMP_EV_PARALLEL_BEGIN), 1);
-  EXPECT_EQ(collector().count(ZOMP_EV_PARALLEL_END), 1);
-  EXPECT_EQ(collector().count(ZOMP_EV_IMPLICIT_TASK_BEGIN), 4);
-  EXPECT_EQ(collector().count(ZOMP_EV_IMPLICIT_TASK_END), 4);
-  EXPECT_GE(collector().count(ZOMP_EV_DISPATCH_CLAIM), 1);
-  EXPECT_GE(collector().count(ZOMP_EV_BARRIER_ENTER), 4);
-  EXPECT_EQ(collector().count(ZOMP_EV_BARRIER_ENTER),
-            collector().count(ZOMP_EV_BARRIER_WAIT_END));
-}
-
-// ---------------------------------------------------------------------------
 // Per-thread counters and the metrics report. Counts are process-lifetime
 // and never reset, so every test reads before/after deltas.
 // ---------------------------------------------------------------------------
@@ -530,62 +430,6 @@ TEST(CounterTest, MetricsOffStillCountsButReadsNoClock) {
   EXPECT_EQ(delta(before, after, rt::Metric::kBarrierWaitNs), 0u);
 }
 
-TEST(CounterTest, TeamStatsDeltasEqualProcessDeltas) {
-  // Only this region's threads run, so the sum over its members' blocks and
-  // the sum over every block must move by the same amounts. The master
-  // reads both at points where every other member has left the barrier and
-  // holds still, so each snapshot is consistent.
-  struct Snapshot {
-    TeamStats team;
-    MetricArray process{};
-  };
-  Snapshot before;
-  Snapshot after;
-  std::atomic<int> parked{0};
-  std::atomic<int> released{0};
-  const auto quiet_read = [&](Snapshot& out, int round) {
-    barrier();
-    if (thread_num() != 0) {
-      parked.fetch_add(1, std::memory_order_acq_rel);
-      while (released.load(std::memory_order_acquire) < round) {
-        std::this_thread::yield();
-      }
-      return;
-    }
-    while (parked.load(std::memory_order_acquire) <
-           round * (num_threads() - 1)) {
-      std::this_thread::yield();
-    }
-    out.team = team_stats();
-    out.process = metric_values();
-    released.store(round, std::memory_order_release);
-  };
-  parallel(
-      [&] {
-        quiet_read(before, 1);
-        counted_workload();
-        quiet_read(after, 2);
-      },
-      ParallelOptions{4, true});
-
-  const auto process = [&](rt::Metric m) {
-    return static_cast<rt::i64>(delta(before.process, after.process, m));
-  };
-  const std::pair<rt::i64 TeamStats::*, rt::Metric> fields[] = {
-      {&TeamStats::steal_attempts, rt::Metric::kStealAttempts},
-      {&TeamStats::steal_lost, rt::Metric::kStealLost},
-      {&TeamStats::tasks_executed, rt::Metric::kTasksExecuted},
-      {&TeamStats::dispatch_claims, rt::Metric::kDispatchClaims},
-      {&TeamStats::barrier_episodes, rt::Metric::kBarrierEpisodes},
-  };
-  for (const auto& [field, metric] : fields) {
-    EXPECT_EQ(after.team.*field - before.team.*field, process(metric))
-        << "metric " << static_cast<int>(metric);
-  }
-  EXPECT_EQ(process(rt::Metric::kTasksExecuted), 16);
-  EXPECT_GE(process(rt::Metric::kDispatchClaims), 1);
-}
-
 TEST(CounterTest, ExitedThreadCountsOutliveTheThread) {
   const MetricArray before = metric_values();
   std::thread user([] {
@@ -613,7 +457,6 @@ TEST(CounterTest, ReadersRaceRunningRegionsSafely) {
   std::thread reader([&] {
     rt::u64 last_regions = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      (void)team_stats();
       const std::string report = rt::metrics_report();
       const rt::u64 regions = rt::metrics_value(rt::Metric::kParallelRegions);
       if (regions < last_regions ||
@@ -630,7 +473,7 @@ TEST(CounterTest, ReadersRaceRunningRegionsSafely) {
                    ForOptions{{rt::ScheduleKind::kDynamic, 2}, true});
           // Siblings may still be claiming: an in-region read of the
           // member blocks overlaps their writes.
-          (void)team_stats();
+          (void)rt::metrics_value(rt::Metric::kDispatchClaims);
           counted_workload();
         },
         ParallelOptions{4, true});
@@ -641,59 +484,12 @@ TEST(CounterTest, ReadersRaceRunningRegionsSafely) {
 }
 
 // ---------------------------------------------------------------------------
-// team_stats surfaces
+// MiniZig host fns
 // ---------------------------------------------------------------------------
 
-TEST(TeamStatsTest, RegionWorkIsVisibleFromInsideTheRegion) {
-  TeamStats st{};
-  zomp_team_stats_t abi_st{};
-  std::atomic<bool> read_done{false};
-  parallel(
-      [&] {
-        for_each(0, 128, [](rt::i64) {},
-                 ForOptions{{rt::ScheduleKind::kDynamic, 2}, false});
-        single([] {
-          for (int i = 0; i < 8; ++i) task([] {});
-        });
-        barrier();
-        // Non-masters hold off on the join barrier until the master has
-        // read, so both surfaces see the same counts.
-        if (rt::current_thread().tid == 0) {
-          st = team_stats();
-          zomp_team_stats(&abi_st);
-          read_done.store(true, std::memory_order_release);
-        } else {
-          while (!read_done.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-        }
-      },
-      ParallelOptions{4, true});
-
-  EXPECT_GE(st.dispatch_claims, 1);
-  EXPECT_GE(st.tasks_executed, 8);
-  EXPECT_GE(st.barrier_episodes, 4);
-  // The ABI twin reads the same aggregate.
-  EXPECT_EQ(abi_st.steal_attempts, st.steal_attempts);
-  EXPECT_EQ(abi_st.steal_lost, st.steal_lost);
-  EXPECT_EQ(abi_st.tasks_executed, st.tasks_executed);
-  EXPECT_EQ(abi_st.dispatch_claims, st.dispatch_claims);
-  EXPECT_EQ(abi_st.barrier_episodes, st.barrier_episodes);
-}
-
-TEST(TeamStatsTest, AbiGuardsNullAndMzTwinBoundsWhich) {
-  zomp_team_stats(nullptr);  // must not crash
-  EXPECT_EQ(mz_omp_team_stat(-1), 0);
-  EXPECT_EQ(mz_omp_team_stat(5), 0);
-  for (std::int64_t which = 0; which < 5; ++which) {
-    EXPECT_GE(mz_omp_team_stat(which), 0) << which;
-  }
-}
-
-TEST(TeamStatsTest, MzHostFnsAreCallableFromMiniZig) {
+TEST(HostFnTest, WtickAndTraceFlushAreCallableFromMiniZig) {
   const std::string source = R"(
 extern fn mz_omp_get_wtick() f64;
-extern fn mz_omp_team_stat(which: i64) i64;
 extern fn mz_omp_trace_flush() i64;
 pub fn main() void {
   var total: i64 = 0;
@@ -703,7 +499,6 @@ pub fn main() void {
   }
   @print(total);
   @print(mz_omp_get_wtick() > 0.0);
-  @print(mz_omp_team_stat(4) >= 0);
   @print(mz_omp_trace_flush());
 }
 )";
@@ -717,7 +512,7 @@ pub fn main() void {
   interp::Interp interp(*result.module, iopts);
   ASSERT_TRUE(interp.run_main());
   // trace_flush returns 0: tracing is not file-backed in this test.
-  EXPECT_EQ(out.str(), "100\ntrue\ntrue\n0\n");
+  EXPECT_EQ(out.str(), "100\ntrue\n0\n");
 }
 
 }  // namespace
